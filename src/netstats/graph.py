@@ -9,10 +9,17 @@ is addressed as ``n1 + j``.
 Undirected edges are stored once; every operation treats ``{u, v}``
 symmetrically.  Loops contribute 2 to the degree (and node weight) of their
 endpoint, which keeps the handshake identity ``sum(d) == 2m``.
+
+Every statistic or transform over the set of distinct node pairs reads one
+:class:`PairIndex` (``Graph.pairs``).  A pair is keyed by combined ids as
+``a * (n + 1) + b``, where ``(a, b)`` is ``(u, v)`` for directed graphs and
+``(min(u, v), max(u, v))`` otherwise; a bipartite pair is always
+``(left, right)``.  Loops are pairs like any other.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 from functools import cached_property
@@ -136,6 +143,47 @@ def _frozen(arr, dtype):
     out = np.ascontiguousarray(arr, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class PairIndex:
+    """Records grouped by node pair; the module docstring gives the keys."""
+
+    base: int  # key = a * base + b
+    keys: np.ndarray  # sorted unique pair keys
+    first: np.ndarray  # first record of each pair, in input order
+    pair_of: np.ndarray  # pair id (position in ``keys``) of each record
+    sums: np.ndarray  # multiplicity sum per pair
+
+    @classmethod
+    def build(cls, keys: np.ndarray, base: int, weights: np.ndarray) -> "PairIndex":
+        """Group records by key with one stable sort."""
+        order = np.argsort(keys, kind="stable")
+        new = np.ones(len(keys), dtype=bool)
+        new[1:] = np.diff(keys[order]) != 0
+        starts = np.flatnonzero(new)
+        pair_of = np.empty(len(keys), dtype=np.int64)
+        pair_of[order] = np.cumsum(new) - 1
+        sums = np.add.reduceat(weights[order], starts)
+        return cls(base, *(_frozen(x, x.dtype) for x in
+                           (keys[order[starts]], order[starts], pair_of, sums)))
+
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Combined 1-based ids ``(a, b)`` of each pair."""
+        return np.divmod(self.keys, self.base)
+
+    def fold(self) -> "PairIndex":
+        """The index of unordered pairs, whose ``pair_of`` maps this index's pairs."""
+        a, b = self.endpoints()
+        return PairIndex.build(np.minimum(a, b) * self.base + np.maximum(a, b),
+                               self.base, self.sums)
+
+    def reciprocated(self) -> np.ndarray:
+        """Per pair: whether the reversed pair ``(b, a)`` is present; loops are."""
+        a, b = self.endpoints()
+        reverse = b * self.base + a
+        pos = np.searchsorted(self.keys, reverse).clip(max=len(self.keys) - 1)
+        return self.keys[pos] == reverse
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -265,6 +313,12 @@ class Graph:
 
     __hash__ = object.__hash__
 
+    def select(self, rows, **fields) -> "Graph":
+        """The graph on the records ``rows`` picks; ``fields`` replace attributes."""
+        cols = {k: getattr(self, k) for k in ("src", "dst", "weight", "timestamp")}
+        picked = {k: None if c is None else c[rows] for k, c in cols.items()}
+        return dataclasses.replace(self, **{**picked, **fields})
+
     # -- per-edge / per-node quantities ----------------------------------
 
     @cached_property
@@ -373,19 +427,30 @@ class Graph:
         return mat.tocsr()
 
     @cached_property
+    def pairs(self) -> PairIndex:
+        """The records grouped by node pair, orientation kept for directed graphs."""
+        u, v = self.endpoints()
+        if not self.is_directed:
+            u, v = np.minimum(u, v), np.maximum(u, v)
+        base = self.n + 1
+        return PairIndex.build(u * base + v, base, self.multiplicities)
+
+    def unordered_pairs(self) -> PairIndex:
+        """The pair index with edge orientations folded away."""
+        return self.pairs.fold() if self.is_directed else self.pairs
+
+    @cached_property
     def pattern(self) -> sparse.csr_array:
         """0/1 symmetric adjacency of the underlying simple loopless graph."""
         if self.weights is WeightType.DYNAMIC:
             return latest_state(self).pattern
-        u, v = self.endpoints()
-        keep = u != v
-        a = np.minimum(u[keep], v[keep]) - 1
-        b = np.maximum(u[keep], v[keep]) - 1
-        pairs = np.unique(np.stack([a, b], axis=1), axis=0)
-        if len(pairs) == 0:
+        a, b = self.unordered_pairs().endpoints()
+        keep = a != b
+        a, b = a[keep] - 1, b[keep] - 1
+        if len(a) == 0:
             return sparse.csr_array((self.n, self.n))
-        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        rows = np.concatenate([a, b])
+        cols = np.concatenate([b, a])
         data = np.ones(len(rows), dtype=np.int64)
         return sparse.coo_array((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
 
@@ -439,22 +504,8 @@ def dedupe(g: Graph) -> Graph:
         return g
     if g.weights is WeightType.DYNAMIC:
         return latest_state(g)
-    u, v = g.src, g.dst
-    if not g.is_directed and not g.is_bipartite:
-        a, b = np.minimum(u, v), np.maximum(u, v)
-    else:
-        a, b = u, v
-    _, first = np.unique(np.stack([a, b], axis=1), axis=0, return_index=True)
-    first.sort()
-    return Graph(
-        fmt=g.fmt,
-        weights=WeightType.UNWEIGHTED,
-        n1=g.n1,
-        n2=g.n2,
-        src=g.src[first],
-        dst=g.dst[first],
-        tags=g.tags,
-    )
+    return g.select(np.sort(g.pairs.first), weights=WeightType.UNWEIGHTED,
+                    weight=None, timestamp=None)
 
 
 def absolute(g: Graph) -> Graph:
@@ -519,36 +570,16 @@ def latest_state(g: Graph) -> Graph:
     """
     if g.weights is not WeightType.DYNAMIC:
         raise IncompatibleGraphError("latest state is defined for dynamic networks")
-    if len(g.src) == 0:
-        return Graph(fmt=g.fmt, weights=WeightType.UNWEIGHTED, n1=g.n1, n2=g.n2,
-                     src=g.src, dst=g.dst, tags=g.tags)
-    order = (
-        np.argsort(g.timestamp, kind="stable")
-        if g.timestamp is not None
-        else np.arange(len(g.src))
-    )
-    u, v = g.src[order], g.dst[order]
-    if not g.is_directed and not g.is_bipartite:
-        a, b = np.minimum(u, v), np.maximum(u, v)
-    else:
-        a, b = u, v
-    key = a.astype(np.int64) * (max(g.n, 1) + 1) + b
-    # first occurrence in the reversed stream = last event per pair
-    rev_key = key[::-1]
-    _, first_rev = np.unique(rev_key, return_index=True)
-    last = len(key) - 1 - first_rev
-    signs = g.weight[order] if g.weight is not None else np.ones(len(key))
-    added = last[signs[last] > 0]
-    added.sort()
-    return Graph(
-        fmt=g.fmt,
-        weights=WeightType.UNWEIGHTED,
-        n1=g.n1,
-        n2=g.n2,
-        src=u[added],
-        dst=v[added],
-        tags=g.tags,
-    )
+    m = len(g.src)
+    order = np.arange(m) if g.timestamp is None else np.argsort(g.timestamp, kind="stable")
+    rank = np.empty(m, dtype=np.int64)  # position in (timestamp, input order)
+    rank[order] = np.arange(m)
+    pairs = g.pairs
+    last = np.zeros(len(pairs.keys), dtype=np.int64)
+    np.maximum.at(last, pairs.pair_of, rank)
+    signs = g.weight[order] if g.weight is not None else np.ones(m)
+    added = order[np.sort(last[signs[last] > 0])]
+    return g.select(added, weights=WeightType.UNWEIGHTED, weight=None, timestamp=None)
 
 
 def largest_connected_component(g: Graph) -> Graph:
@@ -573,16 +604,9 @@ def largest_connected_component(g: Graph) -> Graph:
     else:
         mapping[nodes] = np.arange(len(nodes))
         n1, n2 = len(nodes), None
-    keep = mapping[g.src - 1] >= 0  # both endpoints share a weak component
-    return Graph(
-        fmt=g.fmt,
-        weights=g.weights,
-        n1=n1,
-        n2=n2,
-        src=mapping[g.src[keep] - 1] + 1,
-        dst=mapping[(g.dst[keep] - 1) + (g.n1 if g.is_bipartite else 0)] + 1,
-        weight=g.weight[keep] if g.weight is not None else None,
-        timestamp=g.timestamp[keep] if g.timestamp is not None else None,
-        tags=g.tags,
-        node_origin=nodes + 1,
-    )
+    # an event log's components come from its latest state, so an event may
+    # join the component to a node outside it
+    u, v = g.endpoints()
+    keep = (mapping[u - 1] >= 0) & (mapping[v - 1] >= 0)
+    return g.select(keep, n1=n1, n2=n2, src=mapping[u[keep] - 1] + 1,
+                    dst=mapping[v[keep] - 1] + 1, node_origin=nodes + 1)

@@ -116,15 +116,27 @@ def _as_text(data) -> str:
     if hasattr(data, "read"):
         data = data.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise DatasetError(
+                f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line
+            ) from None
     return data
+
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _parse_int(token: str, what: str, line: int) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise DatasetError(f"{what} {token!r} is not an integer", line) from None
+    if abs(value) > _INT64_MAX:
+        raise DatasetError(f"{what} {token!r} does not fit in 64 bits", line)
+    return value
 
 
 def _parse_float(token: str, what: str, line: int) -> float:
@@ -426,8 +438,8 @@ def validate(g: Graph, header: Header, meta: Metadata | None = None) -> list[Fin
         warn("#zeroweight is only used for positively weighted and signed networks")
 
     if g.fmt is Format.DIRECTED:
-        pairs = set(zip(g.src.tolist(), g.dst.tolist()))
-        reciprocal = sum(1 for (u, v) in pairs if u != v and (v, u) in pairs) // 2
+        a, b = g.pairs.endpoints()
+        reciprocal = int(np.count_nonzero(g.pairs.reciprocated() & (a != b))) // 2
         if "#nonreciprocal" in tags and reciprocal > 0:
             err("#nonreciprocal set but reciprocal edges exist")
         if "#acyclic" not in tags and "#nonreciprocal" not in tags and reciprocal < 2:

@@ -112,14 +112,7 @@ def plot_multiplicity(g: Graph) -> PlotSeries:
     """Frequency of per-pair edge multiplicities, on doubly logarithmic scales."""
     if not g.weights.allows_multi:
         raise IncompatibleGraphError("multiplicity distribution requires multi-edges")
-    u, v = g.endpoints()
-    if not g.is_directed:
-        u, v = np.minimum(u, v), np.maximum(u, v)
-    key = u.astype(np.int64) * (g.n + 1) + v
-    order = np.argsort(key, kind="stable")
-    _, start = np.unique(key[order], return_index=True)
-    mult = np.add.reduceat(g.multiplicities[order], np.sort(start))
-    values, counts = np.unique(mult, return_counts=True)
+    values, counts = np.unique(g.pairs.sums, return_counts=True)
     return PlotSeries(
         "multiplicity-distribution",
         {"multiplicity": values, "count": counts},
@@ -375,13 +368,7 @@ def plot_distance_distribution(
     times, hops, fracs = [], [], []
     method = "exact"
     for cut in snapshots:
-        keep = g.timestamp <= cut
-        sub = Graph(
-            fmt=g.fmt, weights=g.weights, n1=g.n1, n2=g.n2,
-            src=g.src[keep], dst=g.dst[keep],
-            weight=g.weight[keep] if g.weight is not None else None,
-            timestamp=g.timestamp[keep], tags=g.tags,
-        )
+        sub = g.select(g.timestamp <= cut)
         if len(sub.src) == 0:
             continue
         ws = Workspace(sub, opts)

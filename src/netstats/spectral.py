@@ -116,7 +116,7 @@ class SpectralResult:
         out.write("# index\treal\timag\tresidual\n")
         for i, v in enumerate(self.values):
             c = complex(v)
-            out.write(f"{i}\t{c.real!r}\t{c.imag!r}\t{self.residuals[i]!r}\n")
+            out.write(f"{i}\t{c.real!r}\t{c.imag!r}\t{float(self.residuals[i])!r}\n")
         return out.getvalue()
 
     def vectors_tsv(self) -> str:

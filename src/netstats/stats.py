@@ -188,23 +188,7 @@ def _as_undirected(g: Graph) -> Graph:
 def _drop_loops(g: Graph) -> Graph:
     if g.is_bipartite or not len(g.src) or not np.any(g.src == g.dst):
         return g
-    keep = g.src != g.dst
-    return Graph(
-        fmt=g.fmt, weights=g.weights, n1=g.n1, n2=g.n2,
-        src=g.src[keep], dst=g.dst[keep],
-        weight=g.weight[keep] if g.weight is not None else None,
-        timestamp=g.timestamp[keep] if g.timestamp is not None else None,
-        tags=g.tags,
-    )
-
-
-def _unique_pair_count(g: Graph) -> int:
-    if not len(g.src):
-        return 0
-    u, v = g.endpoints()
-    if not g.is_directed:
-        u, v = np.minimum(u, v), np.maximum(u, v)
-    return len(np.unique(u.astype(np.int64) * (g.n + 1) + v))
+    return g.select(g.src != g.dst)
 
 
 def _nan(name, computed_on=FULL, **params) -> StatisticValue:
@@ -228,7 +212,7 @@ def stat_volume(ws) -> StatisticValue:
 
 @statistic("uniquevolume")
 def stat_uniquevolume(ws) -> StatisticValue:
-    return StatisticValue("uniquevolume", _unique_pair_count(ws.g))
+    return StatisticValue("uniquevolume", len(ws.g.pairs.keys))
 
 
 @statistic("weight")
@@ -249,7 +233,7 @@ def stat_avgdegree(ws) -> StatisticValue:
 @statistic("fill")
 def stat_fill(ws) -> StatisticValue:
     g = ws.g
-    unique_m = _unique_pair_count(g)
+    unique_m = len(g.pairs.keys)
     loops = g.allows_loops or (len(g.src) and not g.is_bipartite
                                and bool(np.any(g.src == g.dst)))
     n = g.n
@@ -285,13 +269,8 @@ def stat_reciprocity(ws) -> StatisticValue:
         raise IncompatibleGraphError("reciprocity requires a directed graph")
     if g.m == 0:
         return _nan("reciprocity")
-    pairs = set(zip(g.src.tolist(), g.dst.tolist()))
-    mult = g.multiplicities
-    reciprocated = sum(
-        int(mult[i])
-        for i, (u, v) in enumerate(zip(g.src.tolist(), g.dst.tolist()))
-        if (v, u) in pairs
-    )
+    pairs = g.pairs
+    reciprocated = int(pairs.sums[pairs.reciprocated()].sum())
     return StatisticValue("reciprocity", reciprocated / g.m)
 
 
@@ -567,15 +546,13 @@ def stat_clusco2(ws) -> StatisticValue:
     return StatisticValue("clusco2", float(values.mean()), SIMPLE)
 
 
-def _local_clustering_values(pattern, min_degree_two: bool = False) -> np.ndarray:
+def _local_clustering_values(pattern) -> np.ndarray:
     deg = np.diff(pattern.indptr).astype(np.int64)
     tri = _triangles_per_node(pattern)
     wedges = deg * (deg - 1) // 2
     out = np.zeros(len(deg), dtype=np.float64)
     mask = wedges > 0
     out[mask] = tri[mask] / wedges[mask]
-    if min_degree_two:
-        return out[mask]
     return out
 
 
@@ -903,23 +880,27 @@ def stat_frustration(ws) -> StatisticValue:
 
 def _min_frustrated_edges(g: Graph, opts: Options) -> tuple[int, bool]:
     """Minimum same-side edge weight over all bipartitions, per component."""
-    u, v = g.endpoints()
-    mult = g.multiplicities
+    pairs = g.unordered_pairs()
+    a, b = pairs.endpoints()
     labels = g.component_labels
-    local = np.empty(g.n, dtype=np.int64)  # node index within its component
+    sizes = np.bincount(labels)
+    # node index within its component: nodes keep their id order there
+    nodes = np.argsort(labels, kind="stable")
+    local = np.empty(g.n, dtype=np.int64)
+    local[nodes] = np.arange(g.n) - (np.cumsum(sizes) - sizes)[labels[nodes]]
+    # pairs grouped by component, each group in pair-key order
+    comp = labels[a - 1]
+    by_comp = np.argsort(comp, kind="stable")
+    comp = comp[by_comp]
+    cuts = np.flatnonzero(np.diff(comp)) + 1
+    groups = zip(comp[np.concatenate([[0], cuts])],
+                 np.split(local[a - 1][by_comp], cuts),
+                 np.split(local[b - 1][by_comp], cuts),
+                 np.split(pairs.sums[by_comp], cuts))
     total = 0
     all_exact = True
-    for comp in np.unique(labels[np.concatenate([u, v]) - 1]):
-        nodes = np.flatnonzero(labels == comp)
-        local[nodes] = np.arange(len(nodes))
-        mask = labels[u - 1] == comp
-        ea = local[u[mask] - 1]
-        eb = local[v[mask] - 1]
-        ew = mult[mask].astype(np.int64)
-        ea, eb, ew = _aggregate_pairs(ea, eb, ew)
-        nc = len(nodes)
-        if len(ea) == 0:
-            continue
+    for c, ea, eb, ew in groups:
+        nc = int(sizes[c])
         if nc <= 20:
             total += _frustration_exact(nc, ea, eb, ew)
         else:
@@ -927,16 +908,6 @@ def _min_frustrated_edges(g: Graph, opts: Options) -> tuple[int, bool]:
             total += f
             all_exact = all_exact and exact
     return total, all_exact
-
-
-def _aggregate_pairs(a, b, w):
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    key = lo * (max(a.max(), b.max()) + 2) + hi
-    order = np.argsort(key, kind="stable")
-    key, lo, hi, w = key[order], lo[order], hi[order], w[order]
-    uniq, start = np.unique(key, return_index=True)
-    sums = np.add.reduceat(w, start)
-    return lo[start], hi[start], sums
 
 
 def _frustration_exact(nc, ea, eb, ew) -> int:

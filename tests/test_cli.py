@@ -197,3 +197,38 @@ def test_usage_error_exit_code(capsys):
     assert main(["stats"]) == 1
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+def test_transform_lcc_of_event_log(tmp_path, capsys):
+    from netstats.io import parse_out
+
+    # the removed edge 3-4 joined the latest state's components {1, 2, 3} and {4, 5}
+    (tmp_path / "out.log").write_bytes(b"% sym dynamic\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n3 4 -1\n")
+    code, stdout, err = run(capsys, "transform", "lcc", str(tmp_path / "out.log"),
+                            "--out", str(tmp_path))
+    assert code == 0, err
+    g, _ = parse_out(Path(stdout.strip()).read_bytes())
+    assert g.n == 3 and list(zip(g.src.tolist(), g.dst.tolist())) == [(1, 2), (2, 3)]
+
+
+def test_spectra_file_reads_as_numbers(dataset, tmp_path, capsys):
+    out = tmp_path / "plots"
+    code, _, _ = run(capsys, "plot", str(dataset / "out.tri"), "spectrum",
+                     "--out", str(out))
+    assert code == 0
+    for matrix in ("adjacency", "normalized", "laplacian"):
+        table = np.loadtxt(out / "tri" / f"spectra.{matrix}.tri.tsv", ndmin=2)
+        assert table.shape[1] == 4 and np.all(np.isfinite(table))
+
+
+@pytest.mark.parametrize("out_bytes, meta_bytes, line", [
+    (b"% sym unweighted\n1 2\n2 \xff3\n", META, 3),
+    (b"% sym unweighted\n1 2\n1 99999999999999999999\n", META, 3),
+    (K3, b"name: Tri\ncode: TR\ncategory: Misc\xe9\n", 3),
+], ids=["out-utf8", "out-int64", "meta-utf8"])
+def test_validate_hostile_input_reports_line(tmp_path, capsys, out_bytes, meta_bytes, line):
+    (tmp_path / "out.bad").write_bytes(out_bytes)
+    (tmp_path / "meta.bad").write_bytes(meta_bytes)
+    code, out, _ = run(capsys, "validate", str(tmp_path / "out.bad"))
+    assert code == 1
+    assert out.startswith(f"error\t{line}\tbad: ")

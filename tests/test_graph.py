@@ -226,3 +226,13 @@ def test_transforms_preserve_node_counts(rng=np.random.default_rng(19)):
     g = random_graph(rng, Format.UNDIRECTED, WeightType.MULTISIGNED)
     for out in (strip_weights(g), dedupe(g), absolute(g), negate(g)):
         assert (out.n1, out.n2) == (g.n1, g.n2)
+
+
+def test_lcc_of_event_log_drops_events_leaving_the_component():
+    # the removed edge 3-4 joined the latest state's components {1, 2, 3} and {4, 5}
+    g = graph_from_pairs([(1, 2), (2, 3), (3, 4), (4, 5), (3, 4)], 5,
+                         weights=WeightType.DYNAMIC, w=[1, 1, 1, 1, -1])
+    lcc = largest_connected_component(g)
+    assert (lcc.n, list(lcc.node_origin)) == (3, [1, 2, 3])
+    assert list(zip(lcc.src.tolist(), lcc.dst.tolist())) == [(1, 2), (2, 3)]
+    assert list(lcc.weight) == [1.0, 1.0]

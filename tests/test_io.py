@@ -177,3 +177,22 @@ def test_validate_bipartite_star_warning():
 
 def test_finding_row_format():
     assert Finding("error", "boom", 3).as_row() == "error\t3\tboom"
+
+
+def test_invalid_utf8_is_a_dataset_error_on_its_line():
+    with pytest.raises(DatasetError) as exc:
+        parse_out(b"% sym unweighted\n1 2\n2 3 \xc3\n")
+    assert exc.value.line == 3 and "UTF-8" in exc.value.message
+    with pytest.raises(DatasetError) as exc:
+        parse_meta(b"name: x\n\xffcode: XX\n")
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("token", [b"9223372036854775808", b"-99999999999999999999"])
+def test_ids_beyond_int64_are_dataset_errors(token):
+    with pytest.raises(DatasetError) as exc:
+        parse_out(b"% asym unweighted\n1 2\n" + token + b" 1\n")
+    assert exc.value.line == 3
+    with pytest.raises(DatasetError) as exc:
+        parse_out(b"% asym unweighted\n1 " + token + b"\n")
+    assert exc.value.line == 2

@@ -1,0 +1,168 @@
+"""Every consumer of the pair index against a Python-set brute force."""
+
+import dataclasses
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from netstats.graph import Format, Graph, WeightType, dedupe, latest_state
+from netstats.io import Header, validate
+from netstats.plots import plot_multiplicity
+from netstats.stats import (
+    DEFAULT_OPTIONS,
+    _frustration_exact,
+    _min_frustrated_edges,
+    compute,
+)
+
+from gen import ALL_COMBOS, random_graph
+
+SEEDS = range(4)
+
+
+def combined(g):
+    off = g.n1 if g.is_bipartite else 0
+    return [(int(u), int(v) + off) for u, v in zip(g.src, g.dst)]
+
+
+def pair_key(g, u, v):
+    return (u, v) if g.is_directed else (min(u, v), max(u, v))
+
+
+def replay(g):
+    """Records of the latest state, by brute force over the event log."""
+    ts = g.timestamp if g.timestamp is not None else np.zeros(len(g.src))
+    replayed = sorted(range(len(g.src)), key=lambda i: (ts[i], i))
+    last = {}
+    for i in replayed:
+        last[pair_key(g, *combined(g)[i])] = i
+    kept = set(i for i in last.values() if g.weight[i] > 0)
+    return [(int(g.src[i]), int(g.dst[i])) for i in replayed if i in kept]
+
+
+def static(g):
+    return latest_state(g) if g.weights is WeightType.DYNAMIC else g
+
+
+def records(g):
+    return list(zip(g.src.tolist(), g.dst.tolist()))
+
+
+def cases():
+    for fmt, weights in ALL_COMBOS:
+        for seed in SEEDS:
+            rng = np.random.default_rng(seed)
+            g = random_graph(rng, fmt, weights, n_max=12, m_max=60)
+            if g.has_timestamps:  # out of input order, with ties
+                g = g.select(rng.permutation(len(g.src)))
+                g = dataclasses.replace(g, timestamp=g.timestamp // 200_000)
+            yield pytest.param(g, id=f"{fmt.value}-{weights.value}-{seed}")
+
+
+@pytest.mark.parametrize("g", cases())
+def test_pair_index_consumers_match_brute_force(g):
+    s = static(g)
+    pairs = {pair_key(s, u, v) for u, v in combined(s)}
+
+    want = {(a - 1, b - 1) for a, b in pairs if a != b}
+    want |= {(b, a) for a, b in want}
+    coo = s.pattern.tocoo()
+    assert set(zip(coo.row.tolist(), coo.col.tolist())) == want
+    assert set(coo.data.tolist()) <= {1}
+    assert g.pattern.nnz == len(want)
+
+    if g.weights is WeightType.DYNAMIC:
+        assert records(latest_state(g)) == replay(g)
+    if g.weights.allows_multi:
+        firsts, seen = [], set()
+        for i, (u, v) in enumerate(combined(g)):
+            if pair_key(g, u, v) not in seen:
+                seen.add(pair_key(g, u, v))
+                firsts.append(i)
+        expected = replay(g) if g.weights is WeightType.DYNAMIC else [
+            (int(g.src[i]), int(g.dst[i])) for i in firsts]
+        assert records(dedupe(g)) == expected
+
+    assert compute(g, "uniquevolume").value == len(pairs)
+    loops = s.allows_loops or any(u == v for u, v in combined(s) if not s.is_bipartite)
+    n = s.n
+    if s.is_bipartite:
+        fill = len(pairs) / (s.n1 * s.n2)
+    elif s.is_directed:
+        fill = len(pairs) / (n * n if loops else n * (n - 1))
+    else:
+        fill = 2 * len(pairs) / (n * (n + 1) if loops else n * (n - 1))
+    assert compute(g, "fill").value == pytest.approx(fill)
+
+    if s.is_directed and s.m:
+        mult = s.multiplicities
+        back = sum(int(mult[i]) for i, (u, v) in enumerate(combined(s)) if (v, u) in pairs)
+        assert compute(g, "reciprocity").value == pytest.approx(back / s.m)
+
+    if g.weights.allows_multi:
+        sums = Counter()
+        for i, (u, v) in enumerate(combined(g)):
+            sums[pair_key(g, u, v)] += int(g.multiplicities[i])
+        hist = sorted(Counter(sums.values()).items())
+        series = plot_multiplicity(g)
+        got = list(zip(series.columns["multiplicity"].tolist(),
+                       series.columns["count"].tolist()))
+        assert got == hist
+
+
+RECIPROCAL_ERRORS = ("#nonreciprocal set but reciprocal edges exist",
+                     "directed network without #acyclic needs two reciprocal edge pairs")
+
+
+@pytest.mark.parametrize("weights", list(WeightType))
+@pytest.mark.parametrize("seed", range(12))
+def test_validate_reciprocal_rule_matches_brute_force(weights, seed):
+    g = random_graph(np.random.default_rng(seed), Format.DIRECTED, weights,
+                     n_max=5, m_max=12)
+    pairs = set(combined(g))
+    reciprocal = sum(1 for u, v in pairs if u != v and (v, u) in pairs) // 2
+    base = g.tags - {"#acyclic"}
+    for extra in ((), ("#acyclic",), ("#nonreciprocal",)):
+        tagged = dataclasses.replace(g, tags=base | set(extra))
+        errors = {f.message for f in validate(tagged, Header(g.fmt, g.weights))
+                  if f.severity == "error"}
+        want = set()
+        if "#nonreciprocal" in extra and reciprocal > 0:
+            want.add(RECIPROCAL_ERRORS[0])
+        if not extra and reciprocal < 2:
+            want.add(RECIPROCAL_ERRORS[1])
+        assert errors & set(RECIPROCAL_ERRORS) == want
+
+
+def islands(rng, count, signed):
+    """Disjoint random components of 2-12 nodes with parallel edges, and
+    the aggregated edges of each component in its own node numbering."""
+    src, dst, components, offset = [], [], [], 0
+    for _ in range(count):
+        size = int(rng.integers(2, 13))
+        tree = [(int(rng.integers(0, i)), i) for i in range(1, size)]
+        extra = [tuple(int(x) for x in rng.choice(size, 2, replace=False))
+                 for _ in range(int(rng.integers(0, 2 * size)))]
+        edges = Counter((min(a, b), max(a, b)) for a, b in tree + extra)
+        components.append((size, edges))
+        src += [offset + a + 1 for a, _ in tree + extra]
+        dst += [offset + b + 1 for _, b in tree + extra]
+        offset += size
+    weights = WeightType.MULTISIGNED if signed else WeightType.POSITIVE
+    w = rng.choice([-1.0, 1.0], len(src)) if signed else np.ones(len(src))
+    g = Graph(fmt=Format.UNDIRECTED, weights=weights, n1=offset, n2=None,
+              src=np.array(src), dst=np.array(dst), weight=w)
+    return g, components
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_frustration_over_many_components_matches_exact(seed):
+    g, components = islands(np.random.default_rng(seed), 150, signed=bool(seed % 2))
+    want = 0
+    for size, edges in components:
+        ea, eb = (np.array(x) for x in zip(*edges))
+        want += _frustration_exact(size, ea, eb, np.array(list(edges.values())))
+    base = dataclasses.replace(g, weights=WeightType.POSITIVE, weight=None)
+    assert _min_frustrated_edges(base, DEFAULT_OPTIONS) == (want, True)
+    assert compute(g, "frustration").value == pytest.approx(want / len(g.src))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from netstats.graph import Format, IncompatibleGraphError, WeightType
+from netstats.graph import Format, Graph, IncompatibleGraphError, WeightType
 from netstats.stats import (
     Options,
     compute,
@@ -576,7 +576,7 @@ def greedy_flip_reference(sides, ea, eb, ew, nc, max_flips=50):
 
 
 def test_greedy_flip_matches_full_recompute():
-    from netstats.stats import _aggregate_pairs, _greedy_flip
+    from netstats.stats import _greedy_flip
 
     rng = np.random.default_rng(109)
     for _ in range(20):
@@ -586,7 +586,11 @@ def test_greedy_flip_matches_full_recompute():
         keep = a != b
         if not keep.any():
             continue
-        ea, eb, ew = _aggregate_pairs(a[keep], b[keep], rng.integers(1, 4, size=keep.sum()))
+        pairs = Graph(fmt=Format.UNDIRECTED, weights=WeightType.POSITIVE, n1=nc, n2=None,
+                      src=a[keep] + 1, dst=b[keep] + 1,
+                      weight=rng.integers(1, 4, size=keep.sum())).pairs
+        lo, hi = pairs.endpoints()
+        ea, eb, ew = lo - 1, hi - 1, pairs.sums
         sides = rng.integers(0, 2, size=nc).astype(np.int8)
         max_flips = int(rng.integers(1, 60))
         want_sides, want_cost = greedy_flip_reference(sides.copy(), ea, eb, ew, nc, max_flips)
