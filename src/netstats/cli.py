@@ -255,8 +255,14 @@ def _plot_one(network, path, kinds, opts, outdir, k, all_mode) -> tuple[str, int
     messages = []
     code = 0
     for kind in kinds:
+        files = {}  # rendered in full before any is written
         try:
-            emitted = _plot_series(kind, graph, opts, k)
+            for slug, series, extra in _plot_series(kind, graph, opts, k):
+                files[f"plot.{slug}.{network}.tsv"] = series.to_tsv().encode()
+                files[f"plot.{slug}.{network}.svg"] = render_svg(series)
+                if extra is not None:
+                    extra_slug, text = extra
+                    files[f"{extra_slug}.{network}.tsv"] = text.encode()
         except (IncompatibleGraphError, GraphError) as exc:
             if all_mode:
                 messages.append(f"skipped\t{network}\t{kind}\t{exc}\n")
@@ -264,13 +270,8 @@ def _plot_one(network, path, kinds, opts, outdir, k, all_mode) -> tuple[str, int
             messages.append(f"error: {network}: {kind}: {exc}\n")
             code = 1
             continue
-        for slug, series, extra in emitted:
-            base = Path(outdir) / network
-            _atomic_write(base / f"plot.{slug}.{network}.tsv", series.to_tsv().encode())
-            _atomic_write(base / f"plot.{slug}.{network}.svg", render_svg(series))
-            if extra is not None:
-                extra_slug, text = extra
-                _atomic_write(base / f"{extra_slug}.{network}.tsv", text.encode())
+        for name, data in files.items():
+            _atomic_write(Path(outdir) / network / name, data)
     return "".join(messages), code
 
 

@@ -11,7 +11,6 @@ byte-for-byte on re-serialization.
 
 from __future__ import annotations
 
-import io as _io
 import math
 import os
 from dataclasses import dataclass, field
@@ -154,14 +153,147 @@ def parse_out(data, tags: frozenset[str] | None = None) -> tuple[Graph, Header]:
 
     ``data`` may be bytes, text, a readable file object, or a path.  ``tags``
     are the dataset's meta tags; they gate loop and zero-weight validation.
+    A malformed file raises :class:`DatasetError`.  Lines are checked in
+    file order, so it names the first offending line; the rules over the
+    whole file (timestamps on all lines or none, the declared edge count)
+    are checked last.
     """
     text = _as_text(data)
     tags = frozenset(tags or ())
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    head = _leading_lines(text)
+    header, first_data = _parse_header(head)
+    body = text[sum(len(line) + 1 for line in head[:first_data]):]
+    graph = _parse_body(body, header, tags)
+    if graph is None:
+        graph = _graph(header, tags, *_parse_lines(body, first_data + 1, header, tags))
+    return graph, header
 
-    header, first_data = _parse_header(lines)
+
+def _leading_lines(text: str) -> list[str]:
+    """The leading ``%`` lines of ``text`` and the line after them."""
+    lines, start = [], 0
+    while True:
+        end = text.find("\n", start)
+        lines.append(text[start:] if end < 0 else text[start:end])
+        if end < 0 or not lines[-1].lstrip().startswith("%"):
+            return lines
+        start = end + 1
+
+
+# Per ASCII byte of a body: 0 inside a token, 1 whitespace to both
+# ``bytes.split()`` and ``str.split()``, 2 sends the body to the line loop:
+# 0x1c-0x1f split text but not bytes, numpy's fixed-width bytes drop trailing
+# NULs, and ``%`` starts a misplaced comment.  Non-ASCII bodies go to the loop
+# too, because ``str.split()`` and ``int()`` read more of Unicode.
+_BYTE_CLASS = np.zeros(128, dtype=np.uint8)
+_BYTE_CLASS[list(b" \t\n\r\x0b\x0c")] = 1
+_BYTE_CLASS[[0, 0x1C, 0x1D, 0x1E, 0x1F, ord("%")]] = 2
+
+
+_PIECE_BYTES = 1 << 20  # tokenised at a time, so temporaries stay near a megabyte
+
+
+def _parse_body(body: str, header: Header, tags: frozenset[str]) -> Graph | None:
+    """The graph of ``body``, tokenised and checked with array operations.
+
+    Returns None when any record may break a rule of :func:`_parse_lines`,
+    which then names the offending line; a valid ASCII body never needs it.
+    """
+    if not body.isascii():
+        return None
+    raw = body.encode("ascii")
+    pieces = []
+    start = 0
+    while True:  # whole lines of about _PIECE_BYTES each
+        end = raw.find(b"\n", start + _PIECE_BYTES) + 1 or len(raw)
+        pieces.append(_piece_columns(raw[start:end]))
+        if pieces[-1] is None:
+            return None
+        if end == len(raw):
+            break
+        start = end
+    counts, src, dst, weight, timestamp = (np.concatenate(c) for c in zip(*pieces))
+    del pieces
+    m = len(counts)
+    if header.declared_m is not None and header.declared_m != m:
+        return None
+    has_t = counts == 4
+    if np.any(has_t) and not np.all(has_t):
+        return None  # timestamps on some lines only
+    if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(timestamp))):
+        return None
+    if m:
+        fmt = header.fmt
+        limit2 = header.declared_n2 if fmt is Format.BIPARTITE else header.declared_n1
+        if (min(src.min(), dst.min()) < 1
+                or (header.declared_n1 is not None and src.max() > header.declared_n1)
+                or (limit2 is not None and dst.max() > limit2)):
+            return None
+        loops_ok = "#loop" in tags and fmt is not Format.BIPARTITE
+        if fmt is not Format.BIPARTITE and not loops_ok and np.any(src == dst):
+            return None
+    given = counts > 2
+    temporal = bool(np.any(has_t))
+    if not _weights_pass(header.weights, weight, given, temporal, "#zeroweight" in tags):
+        return None
+    graph = _graph(header, tags, src, dst, weight if np.any(given) else None,
+                   timestamp if temporal else None)
+    # identical pairs get identical keys; a wrapped key may only add a
+    # false duplicate, which the line loop then clears
+    if not header.weights.allows_multi and len(graph.pairs.keys) < m:
+        return None
+    return graph
+
+
+def _piece_columns(piece: bytes):
+    """Fields per data line and the columns of whole lines, or None if a byte
+    or token needs the line loop; absent weights read 1 and timestamps 0."""
+    byte = np.frombuffer(piece, dtype=np.uint8)
+    kind = _BYTE_CLASS[byte]
+    if np.any(kind == 2):
+        return None
+    in_token = kind == 0
+    starts = np.flatnonzero(np.diff(in_token, prepend=False) & in_token)
+    counts = np.bincount(np.searchsorted(np.flatnonzero(byte == 10), starts))
+    counts = counts[counts > 0]  # blank lines dropped
+    if len(counts) and (counts.min() < 2 or counts.max() > 4):
+        return None
+    tokens = np.array(piece.split(), dtype=bytes)
+    first = np.cumsum(counts) - counts
+    weight = np.ones(len(counts))
+    timestamp = np.zeros(len(counts))
+    try:
+        src = tokens[first].astype(np.int64)
+        dst = tokens[first + 1].astype(np.int64)
+        for column, j in ((weight, 2), (timestamp, 3)):
+            column[counts > j] = tokens[first[counts > j] + j].astype(np.float64)
+    except (ValueError, OverflowError):
+        return None
+    return counts, src, dst, weight, timestamp
+
+
+def _weights_pass(weights, w, given, temporal, zero_ok) -> bool:
+    """Whether every record passes :func:`_check_weight`; ``w`` is 1 where not ``given``."""
+    if weights is WeightType.DYNAMIC:
+        return bool(np.all(given) and np.all(np.abs(w) == 1))
+    if weights in (WeightType.UNWEIGHTED, WeightType.POSITIVE):
+        top = 1 if temporal or weights is WeightType.UNWEIGHTED else np.inf
+        return bool(np.all((w == np.trunc(w)) & (w >= 1) & (w <= top)))
+    if not np.all(given):
+        return False
+    if weights in (WeightType.POSWEIGHTED, WeightType.MULTIPOSWEIGHTED):
+        return bool(np.all(w >= 0 if zero_ok else w > 0))
+    if weights in (WeightType.SIGNED, WeightType.MULTISIGNED):
+        return zero_ok or bool(np.all(w != 0))
+    return True  # rating scales allow any real value
+
+
+def _parse_lines(body: str, first_line: int, header: Header, tags: frozenset[str]):
+    """The record columns of ``body``, checked line by line.
+
+    This is the statement of the record rules and their messages; it raises
+    on the first offending line.  ``first_line`` is the body's line number.
+    """
     fmt, weights = header.fmt, header.weights
     loops_ok = "#loop" in tags and fmt is not Format.BIPARTITE
     zero_ok = "#zeroweight" in tags
@@ -172,7 +304,7 @@ def parse_out(data, tags: frozenset[str] | None = None) -> tuple[Graph, Header]:
     seen_pairs: set[tuple[int, int]] = set()
     single_edge = not weights.allows_multi
 
-    for lineno0, raw in enumerate(lines[first_data:], start=first_data + 1):
+    for lineno0, raw in enumerate(body.split("\n"), start=first_line):
         line = raw.strip()
         if not line:
             continue
@@ -231,10 +363,19 @@ def parse_out(data, tags: frozenset[str] | None = None) -> tuple[Graph, Header]:
             f"declared edge count {header.declared_m} but found {len(src)} data lines"
         )
 
-    src_arr = np.array(src, dtype=np.int64)
-    dst_arr = np.array(dst, dtype=np.int64)
-    n1_obs = int(src_arr.max()) if len(src_arr) else 0
-    n2_obs = int(dst_arr.max()) if len(dst_arr) else 0
+    return (
+        np.array(src, dtype=np.int64),
+        np.array(dst, dtype=np.int64),
+        np.array(wcol) if have_w else None,
+        np.array(tcol) if have_t else None,
+    )
+
+
+def _graph(header: Header, tags, src, dst, weight, timestamp) -> Graph:
+    """The graph of parsed columns; declared counts win over observed ids."""
+    fmt = header.fmt
+    n1_obs = int(src.max()) if len(src) else 0
+    n2_obs = int(dst.max()) if len(dst) else 0
     if fmt is Format.BIPARTITE:
         n1 = header.declared_n1 if header.declared_n1 is not None else n1_obs
         n2 = header.declared_n2 if header.declared_n2 is not None else n2_obs
@@ -242,18 +383,17 @@ def parse_out(data, tags: frozenset[str] | None = None) -> tuple[Graph, Header]:
         obs = max(n1_obs, n2_obs)
         n1 = header.declared_n1 if header.declared_n1 is not None else obs
         n2 = None
-    graph = Graph(
+    return Graph(
         fmt=fmt,
-        weights=weights,
+        weights=header.weights,
         n1=n1,
         n2=n2,
-        src=src_arr,
-        dst=dst_arr,
-        weight=np.array(wcol) if have_w else None,
-        timestamp=np.array(tcol) if have_t else None,
+        src=src,
+        dst=dst,
+        weight=weight,
+        timestamp=timestamp,
         tags=tags,
     )
-    return graph, header
 
 
 def _parse_header(lines: list[str]) -> tuple[Header, int]:
@@ -340,10 +480,16 @@ def _check_weight(weights, w, temporal, zero_ok, lineno):
     # rating scales allow any real value
 
 
-def _fmt_number(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
+_BLOCK_ROWS = 1 << 16  # rows formatted at a time, so per-row strings stay few
+
+
+def _number_text(x: np.ndarray) -> list[str]:
+    """Each value as an integer if it is a whole number below 1e15, else its repr."""
+    whole = (x == np.trunc(x)) & (np.abs(x) < 1e15)
+    text = np.empty(len(x), dtype=object)
+    text[whole] = list(map(str, x[whole].astype(np.int64).tolist()))
+    text[~whole] = list(map(repr, x[~whole].tolist()))
+    return text.tolist()
 
 
 def write_out(g: Graph, header: Header | None = None) -> bytes:
@@ -360,26 +506,17 @@ def write_out(g: Graph, header: Header | None = None) -> bytes:
             declared_n1=g.n1,
             declared_n2=g.n2 if g.is_bipartite else g.n1,
         )
-    out = _io.StringIO()
-    out.write(f"% {header.fmt.value} {header.weights.value}\n")
+    lines = [f"% {header.fmt.value} {header.weights.value}"]
     if header.declared_m is not None:
-        counts = [str(header.declared_m)]
-        if header.declared_n1 is not None:
-            counts.append(str(header.declared_n1))
-        if header.declared_n2 is not None:
-            counts.append(str(header.declared_n2))
-        out.write("% " + " ".join(counts) + "\n")
-    for comment in header.extra_comments:
-        out.write(comment + "\n")
-    w, t = g.weight, g.timestamp
-    for i in range(len(g.src)):
-        parts = [str(int(g.src[i])), str(int(g.dst[i]))]
-        if w is not None:
-            parts.append(_fmt_number(float(w[i])))
-        if t is not None:
-            parts.append(_fmt_number(float(t[i])))
-        out.write("\t".join(parts) + "\n")
-    return out.getvalue().encode("utf-8")
+        counts = [header.declared_m, header.declared_n1, header.declared_n2]
+        lines.append("% " + " ".join(str(c) for c in counts if c is not None))
+    lines.extend(header.extra_comments)
+    for lo in range(0, len(g.src), _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        columns = [map(str, g.src[rows].tolist()), map(str, g.dst[rows].tolist())]
+        columns += [_number_text(c[rows]) for c in (g.weight, g.timestamp) if c is not None]
+        lines.append("\n".join(map("\t".join, zip(*columns))))
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def parse_meta(data) -> Metadata:

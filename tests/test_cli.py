@@ -174,6 +174,23 @@ def test_directory_dataset_processed(tmp_path, capsys):
     assert (out / "b" / "statistics.tsv").exists()
 
 
+def test_plot_directory_continues_past_edgeless_dataset(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "out.a").write_bytes(b"% sym unweighted\n% 0 31 31\n")
+    (data / "out.b").write_bytes(K3)
+    out = tmp_path / "plots"
+    code, stdout, _ = run(capsys, "plot", str(data), "--all", "--out", str(out))
+    assert code == 0
+    assert "skipped\ta\tdegree\tcannot render an empty series" in stdout
+    assert not (out / "a" / "plot.degree-distribution.a.tsv").exists()
+    assert (out / "b" / "plot.degree-distribution.b.svg").exists()
+    assert (out / "b" / "plot.assortativity-plot.b.svg").exists()
+    code, stdout, _ = run(capsys, "plot", str(data), "degree", "--out", str(out))
+    assert code == 1
+    assert stdout == "error: a: degree: cannot render an empty series\n"
+
+
 def test_parallel_jobs_match_serial(tmp_path, capsys):
     rng = np.random.default_rng(3)
     from netstats.io import write_out

@@ -1,9 +1,11 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
+from netstats import stats
 from netstats.graph import Format, Graph, IncompatibleGraphError, WeightType
 from netstats.stats import (
     Options,
@@ -652,6 +654,23 @@ def test_frustration_matches_exhaustive_on_midsize():
         for mask in range(1 << 10)
     )
     assert val(g, "frustration") == pytest.approx(best / len(pairs))
+
+
+def test_frustration_does_not_depend_on_the_clock(monkeypatch):
+    # one frustrated 30-node component: past the enumeration cutoff, so the
+    # branch-and-bound search decides the value
+    g = random_simple_undirected(np.random.default_rng(3), 30, 0.2)
+    assert np.bincount(g.component_labels).max() == 30
+    exact = compute(g, "frustration")
+    assert exact.method == "exact" and exact.value > 0
+    clock = itertools.count(0.0, 1000.0)
+    monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+    late = compute(g, "frustration")
+    assert (late.value, late.method) == (exact.value, exact.method)
+    # a spent expansion budget keeps the best bipartition found, as an upper bound
+    monkeypatch.setattr(stats, "_BB_EXPANSIONS", 10)
+    cut = compute(g, "frustration")
+    assert cut.method == "estimated" and cut.value >= exact.value
 
 
 def test_nonbip():
