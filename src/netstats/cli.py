@@ -196,8 +196,11 @@ PLOT_KINDS = (
 )
 
 
-def _plot_series(kind, graph, opts, k):
-    """Series for one CLI plot kind: list of (file slug, PlotSeries, extra files)."""
+def _plot_series(kind, graph, opts, k, ws=None):
+    """Series for one CLI plot kind: list of (file slug, PlotSeries, extra files).
+
+    ``ws``, the dataset's Workspace, gives both distance kinds one BFS pass.
+    """
     if kind == "temporal":
         return [("temporal-distribution", _plots.plot_temporal(graph), None)]
     if kind == "weight":
@@ -227,10 +230,11 @@ def _plot_series(kind, graph, opts, k):
     if kind == "complex-eigenvalues":
         return [("complex-eigenvalues", _plots.plot_complex_eigenvalues(graph, k, opts), None)]
     if kind == "distance":
-        return [("distance-distribution", _plots.plot_distance_distribution(graph, opts=opts), None)]
+        series = _plots.plot_distance_distribution(ws or graph, opts=opts)
+        return [("distance-distribution", series, None)]
     if kind == "temporal-distance":
         cuts = _snapshot_cuts(graph)
-        series = _plots.plot_distance_distribution(graph, snapshots=cuts, opts=opts)
+        series = _plots.plot_distance_distribution(ws or graph, snapshots=cuts, opts=opts)
         return [("temporal-distance-distribution", series, None)]
     if kind == "drawing":
         return [
@@ -244,7 +248,8 @@ def _snapshot_cuts(graph, pieces: int = 5) -> list[float]:
     if graph.timestamp is None:
         raise IncompatibleGraphError("temporal plots require timestamps")
     lo, hi = float(graph.timestamp.min()), float(graph.timestamp.max())
-    return [lo + (hi - lo) * (i + 1) / pieces for i in range(pieces)]
+    # the last cut is hi itself: lo + (hi - lo) can round below hi
+    return [lo + (hi - lo) * (i + 1) / pieces for i in range(pieces - 1)] + [hi]
 
 
 def _plot_one(network, path, kinds, opts, outdir, k, all_mode) -> tuple[str, int]:
@@ -252,12 +257,14 @@ def _plot_one(network, path, kinds, opts, outdir, k, all_mode) -> tuple[str, int
         graph, _header, _meta = _load(Path(path))
     except DatasetError as exc:
         return f"error: {network}: {exc}\n", 1
+    # an empty graph has no Workspace; its distance kinds report why
+    ws = _stats.Workspace(graph, opts) if graph.n else None
     messages = []
     code = 0
     for kind in kinds:
         files = {}  # rendered in full before any is written
         try:
-            for slug, series, extra in _plot_series(kind, graph, opts, k):
+            for slug, series, extra in _plot_series(kind, graph, opts, k, ws):
                 files[f"plot.{slug}.{network}.tsv"] = series.to_tsv().encode()
                 files[f"plot.{slug}.{network}.svg"] = render_svg(series)
                 if extra is not None:

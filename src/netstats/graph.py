@@ -14,13 +14,16 @@ Every statistic or transform over the set of distinct node pairs reads one
 :class:`PairIndex` (``Graph.pairs``).  A pair is keyed by combined ids as
 ``a * (n + 1) + b``, where ``(a, b)`` is ``(u, v)`` for directed graphs and
 ``(min(u, v), max(u, v))`` otherwise; a bipartite pair is always
-``(left, right)``.  Loops are pairs like any other.
+``(left, right)``.  Loops are pairs like any other.  The largest key,
+``(n + 1)**2 - 1``, must fit in int64, so a graph has at most
+:data:`MAX_NODES` nodes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -139,6 +142,10 @@ KNOWN_TAGS = frozenset(
 )
 
 
+# the most nodes whose pair keys a * (n + 1) + b fit in int64
+MAX_NODES = math.isqrt(np.iinfo(np.int64).max) - 1
+
+
 def _frozen(arr, dtype):
     out = np.ascontiguousarray(arr, dtype=dtype)
     out.setflags(write=False)
@@ -230,6 +237,8 @@ class Graph:
             raise GraphError("timestamp column requires the weight column")
         if self.n1 < 0 or (self.n2 or 0) < 0:
             raise GraphError("negative node count")
+        if self.n > MAX_NODES:
+            raise GraphError(f"{self.n} nodes exceed the limit of {MAX_NODES}")
         if len(self.src):
             hi_src = int(self.src.max())
             hi_dst = int(self.dst.max())

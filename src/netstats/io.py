@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Format, Graph, KNOWN_TAGS, WeightType
+from .graph import MAX_NODES, Format, Graph, KNOWN_TAGS, WeightType
 
 CATEGORIES = frozenset(
     {
@@ -232,6 +232,8 @@ def _parse_body(body: str, header: Header, tags: frozenset[str]) -> Graph | None
         loops_ok = "#loop" in tags and fmt is not Format.BIPARTITE
         if fmt is not Format.BIPARTITE and not loops_ok and np.any(src == dst):
             return None
+        if _node_count(header, int(src.max()), int(dst.max())) > MAX_NODES:
+            return None
     given = counts > 2
     temporal = bool(np.any(has_t))
     if not _weights_pass(header.weights, weight, given, temporal, "#zeroweight" in tags):
@@ -303,6 +305,7 @@ def _parse_lines(body: str, first_line: int, header: Header, tags: frozenset[str
     missing_ts_line: int | None = None
     seen_pairs: set[tuple[int, int]] = set()
     single_edge = not weights.allows_multi
+    hi_u = hi_v = 0
 
     for lineno0, raw in enumerate(body.split("\n"), start=first_line):
         line = raw.strip()
@@ -326,6 +329,11 @@ def _parse_lines(body: str, first_line: int, header: Header, tags: frozenset[str
             raise DatasetError(f"target id {v} beyond declared count {limit2}", lineno0)
         if u == v and fmt is not Format.BIPARTITE and not loops_ok:
             raise DatasetError("loop without the #loop tag", lineno0)
+        hi_u, hi_v = max(hi_u, u), max(hi_v, v)
+        if _node_count(header, hi_u, hi_v) > MAX_NODES:
+            raise DatasetError(
+                f"node id {max(u, v)} makes more than {MAX_NODES} nodes", lineno0
+            )
 
         w = t = None
         if len(fields) >= 3:
@@ -371,20 +379,25 @@ def _parse_lines(body: str, first_line: int, header: Header, tags: frozenset[str
     )
 
 
+def _sizes(header: Header, hi_src: int, hi_dst: int) -> tuple[int, int | None]:
+    """``(n1, n2)`` for these largest ids; declared counts win over them."""
+    n1, n2 = header.declared_n1, header.declared_n2
+    if header.fmt is Format.BIPARTITE:
+        return (hi_src if n1 is None else n1), (hi_dst if n2 is None else n2)
+    return (max(hi_src, hi_dst) if n1 is None else n1), None
+
+
+def _node_count(header: Header, hi_src: int, hi_dst: int) -> int:
+    n1, n2 = _sizes(header, hi_src, hi_dst)
+    return n1 + (n2 or 0)
+
+
 def _graph(header: Header, tags, src, dst, weight, timestamp) -> Graph:
-    """The graph of parsed columns; declared counts win over observed ids."""
-    fmt = header.fmt
-    n1_obs = int(src.max()) if len(src) else 0
-    n2_obs = int(dst.max()) if len(dst) else 0
-    if fmt is Format.BIPARTITE:
-        n1 = header.declared_n1 if header.declared_n1 is not None else n1_obs
-        n2 = header.declared_n2 if header.declared_n2 is not None else n2_obs
-    else:
-        obs = max(n1_obs, n2_obs)
-        n1 = header.declared_n1 if header.declared_n1 is not None else obs
-        n2 = None
+    """The graph of parsed columns."""
+    n1, n2 = _sizes(header, int(src.max()) if len(src) else 0,
+                    int(dst.max()) if len(dst) else 0)
     return Graph(
-        fmt=fmt,
+        fmt=header.fmt,
         weights=header.weights,
         n1=n1,
         n2=n2,
@@ -429,17 +442,18 @@ def _parse_header(lines: list[str]) -> tuple[Header, int]:
     while idx < len(lines) and lines[idx].lstrip().startswith("%"):
         extra.append(lines[idx])
         idx += 1
-    return (
-        Header(
-            fmt=fmt,
-            weights=weights,
-            declared_m=declared_m,
-            declared_n1=declared_n1,
-            declared_n2=declared_n2,
-            extra_comments=tuple(extra),
-        ),
-        idx,
+    header = Header(
+        fmt=fmt,
+        weights=weights,
+        declared_m=declared_m,
+        declared_n1=declared_n1,
+        declared_n2=declared_n2,
+        extra_comments=tuple(extra),
     )
+    declared = _node_count(header, 0, 0)
+    if declared > MAX_NODES:
+        raise DatasetError(f"declared node count {declared} beyond the limit of {MAX_NODES}", 2)
+    return header, idx
 
 
 def _is_int(token: str) -> bool:

@@ -341,17 +341,22 @@ def plot_complex_eigenvalues(
 
 
 def plot_distance_distribution(
-    g: Graph,
+    g: Graph | Workspace,
     snapshots: list[float] | None = None,
     opts: Options = DEFAULT_OPTIONS,
 ) -> PlotSeries:
     """Cumulative fraction of node pairs within each hop count.
 
     With snapshot timestamps, the same curve is computed on the graph cut
-    at each time, long-format: (time, hop, fraction).
+    at each time, long-format: (time, hop, fraction).  ``g`` may be a
+    Graph or a Workspace, as for the statistics; a Workspace brings its own
+    options.  The plain curve and every snapshot that holds all records use
+    the Workspace's hop data, so one Workspace serves both plots with one
+    BFS pass.  A snapshot that holds the same records as the one before it
+    reuses that one's hop data.
     """
+    ws = g if isinstance(g, Workspace) else Workspace(g, opts)
     if snapshots is None:
-        ws = Workspace(g, opts)
         data = ws.hops
         frac = np.cumsum(data.counts) / data.counts.sum()
         return PlotSeries(
@@ -363,16 +368,23 @@ def plot_distance_distribution(
                 "method": "exact" if data.exact else "estimated",
             },
         )
+    g = ws.raw
     if g.timestamp is None:
         raise IncompatibleGraphError("temporal distance plot requires timestamps")
     times, hops, fracs = [], [], []
     method = "exact"
+    # snapshots nest, so one with as many records as the last holds the same ones
+    held = 0
     for cut in snapshots:
-        sub = g.select(g.timestamp <= cut)
-        if len(sub.src) == 0:
+        keep = g.timestamp <= cut
+        count = int(np.count_nonzero(keep))
+        if count == 0:
             continue
-        ws = Workspace(sub, opts)
-        data = ws.hops
+        if count == len(keep):
+            data = ws.hops
+        elif count != held:
+            data = Workspace(g.select(keep), ws.opts).hops
+        held = count
         frac = np.cumsum(data.counts) / data.counts.sum()
         if not data.exact:
             method = "estimated"

@@ -357,15 +357,17 @@ def stat_tour4(ws) -> StatisticValue:
 _CHUNK_WORK = 4_000_000  # bound on intermediate sparse-product entries
 
 
-def _row_chunks(work: np.ndarray):
-    n = len(work)
+def _row_chunks(work: np.ndarray, bound: int = _CHUNK_WORK):
+    """Greedy ranges [lo, hi) of integral ``work`` summing to at most ``bound``.
+
+    Each range is as long as the bound allows, and an item above the bound
+    forms a range of its own.
+    """
+    ends = np.concatenate(([0], np.cumsum(work, dtype=np.int64)))
     start = 0
-    while start < n:
-        end = start + 1
-        acc = int(work[start])
-        while end < n and acc + work[end] <= _CHUNK_WORK:
-            acc += int(work[end])
-            end += 1
+    while start < len(work):
+        end = int(np.searchsorted(ends, ends[start] + bound, side="right")) - 1
+        end = max(end, start + 1)
         yield start, end
         start = end
 
@@ -653,56 +655,105 @@ def _bfs_sources(n: int, opts: Options) -> np.ndarray:
 
 # Size bound of one level's gathered frontier words (fixes the batch width).
 _GATHER_BYTES = 32 << 20
+# Cost of pushing one frontier word along one edge, in pulled word-edges.
+_PUSH_COST = 8.0
 
 
 def _bfs_counts(pattern, sources) -> tuple[np.ndarray, np.ndarray]:
     """Hop histogram summed over sources, and eccentricity per source.
 
     Multi-source bit-parallel BFS (Then et al., "The More the Merrier",
-    PVLDB 8(4), 2014): every node holds one uint64 frontier and one visited
-    word per 64 sources, one bit per source.  A level gathers the
-    neighbours' frontier words over ``pattern.indices``, ORs them per row
-    and masks out visited bits; the popcount of the new frontier is that
-    level's hop count.  Sources run in batches of words so that the gather
-    stays under ``_GATHER_BYTES``.  Every source must reach every node.
+    PVLDB 8(4), 2014): every node holds one uint64 frontier word and one
+    word of unreached sources per 64 sources, one bit per source, and the
+    popcount of a level's new frontier is that level's hop count.  Sources
+    run in batches of words so that a full gather stays under
+    ``_GATHER_BYTES``.
+
+    Each level runs in the cheaper direction (Beamer, Asanovic and
+    Patterson, "Direction-Optimizing Breadth-First Search", SC 2012).  A
+    pull gathers the neighbours' frontier words into the rows that still
+    miss a source bit; its work is words x edges of those rows.  A push
+    scatters each nonzero frontier word to its node's neighbours; its work
+    is the degree sum over those words, times ``_PUSH_COST``.  So the first
+    level from the sources and the tail levels push, the dense middle pulls.
+    Every source must reach every node.
     """
     n = pattern.shape[0]
-    indices = pattern.indices
-    # reduceat returns the element itself for an empty segment, so rows
-    # without neighbours stay out of it.
-    rows = np.flatnonzero(np.diff(pattern.indptr))
-    starts = pattern.indptr[rows]
+    indptr, indices = pattern.indptr, pattern.indices
+    deg = np.diff(indptr)
     batch = 64 * max(1, _GATHER_BYTES // (8 * max(len(indices), 1)))
     counts = np.zeros(1, dtype=np.int64)
     eccs = np.zeros(len(sources), dtype=np.int64)
     for lo in range(0, len(sources), batch):
         part = sources[lo : lo + batch]
         bit = np.arange(len(part))
-        frontier = np.zeros((-(-len(part) // 64), n), dtype=np.uint64)
+        words = -(-len(part) // 64)
+        frontier = np.zeros((words, n), dtype=np.uint64)
         frontier[bit // 64, part] = np.uint64(1) << (bit % 64).astype(np.uint64)
-        visited = frontier.copy()
+        # source bits not reached yet; the last word may be partial
+        unvisited = np.full((words, n), ~np.uint64(0))
+        unvisited[-1] >>= np.uint64(64 * words - len(part))
+        unvisited ^= frontier
         level_counts = [len(part)]
         while True:
-            nxt = np.zeros_like(frontier)
-            if len(rows):
-                nxt[:, rows] = np.bitwise_or.reduceat(
-                    np.take(frontier, indices, axis=1), starts, axis=1
-                )
-            nxt &= ~visited
+            missing = np.bitwise_or.reduce(unvisited, axis=0) != 0
+            push_work = int(deg @ np.count_nonzero(frontier, axis=0))
+            pull_work = words * int(deg[missing].sum())
+            if _PUSH_COST * push_work < pull_work:
+                nxt = _push(frontier, indptr, indices)
+            else:
+                nxt = _pull(frontier, missing, deg, indices)
+            nxt &= unvisited
             reached = int(np.bitwise_count(nxt).sum(dtype=np.int64))
             if reached == 0:
                 break
-            visited |= nxt
+            unvisited ^= nxt
             level_counts.append(reached)
             live = _source_bits(np.bitwise_or.reduce(nxt, axis=1), len(part))
             eccs[lo + np.flatnonzero(live)] = len(level_counts) - 1
             frontier = nxt
-        if not _source_bits(np.bitwise_and.reduce(visited, axis=1), len(part)).all():
+        if unvisited.any():
             raise GraphError("distance pass requires a connected graph")
         if len(level_counts) > len(counts):
             counts = np.pad(counts, (0, len(level_counts) - len(counts)))
         counts[: len(level_counts)] += level_counts
     return counts.astype(np.float64), eccs
+
+
+def _pull(frontier, missing, deg, indices) -> np.ndarray:
+    """OR of the neighbours' frontier words, for the rows in ``missing``."""
+    rows = np.flatnonzero(missing & (deg > 0))  # reduceat needs nonempty rows
+    if len(rows) == 0:
+        return np.zeros_like(frontier)
+    edges = np.repeat(missing, deg)  # the edges of those rows, in CSR order
+    if not edges.all():
+        indices = indices[edges]
+    starts = np.cumsum(deg[rows]) - deg[rows]
+    pulled = np.bitwise_or.reduceat(np.take(frontier, indices, axis=1), starts, axis=1)
+    if len(rows) == frontier.shape[1]:
+        return pulled
+    nxt = np.zeros_like(frontier)
+    nxt[:, rows] = pulled
+    return nxt
+
+
+def _push(frontier, indptr, indices) -> np.ndarray:
+    """Each nonzero frontier word ORed into its node's neighbours."""
+    words, n = frontier.shape
+    flat = frontier.ravel()
+    active = np.flatnonzero(flat)  # word * n + node
+    nodes = active % n
+    lens = indptr[nodes + 1] - indptr[nodes]
+    nxt = np.zeros(words * n, dtype=np.uint64)
+    # pieces of about _GATHER_BYTES / 128 edges, with some 32 bytes of
+    # temporaries per edge, stay well below a full gather
+    for a, b in _row_chunks(lens, _GATHER_BYTES // 128):
+        k = lens[a:b]
+        first = np.cumsum(k) - k  # where each word's targets start in the piece
+        pos = np.repeat(indptr[nodes[a:b]] - first, k) + np.arange(first[-1] + k[-1])
+        targets = indices[pos] + np.repeat(active[a:b] - nodes[a:b], k)
+        np.bitwise_or.at(nxt, targets, np.repeat(flat[active[a:b]], k))
+    return nxt.reshape(words, n)
 
 
 def _source_bits(words: np.ndarray, k: int) -> np.ndarray:

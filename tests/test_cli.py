@@ -249,3 +249,68 @@ def test_validate_hostile_input_reports_line(tmp_path, capsys, out_bytes, meta_b
     code, out, _ = run(capsys, "validate", str(tmp_path / "out.bad"))
     assert code == 1
     assert out.startswith(f"error\t{line}\tbad: ")
+
+
+def plot_rows(path):
+    """The data rows of a plot TSV, as lists of fields."""
+    return [line.split("\t") for line in path.read_text().splitlines()[1:]]
+
+
+def final_snapshot(rows):
+    """(hop, fraction) rows of the last snapshot of a temporal-distance plot."""
+    last = rows[-1][0]
+    return [row[1:] for row in rows if row[0] == last], last
+
+
+def test_last_snapshot_cut_is_the_last_timestamp(tmp_path, capsys):
+    # lo + (hi - lo) * 5 / 5 is 102.19999999999999 here, which drops the last record
+    (tmp_path / "out.frac").write_bytes(
+        b"% sym unweighted\n1 2 1 50.4\n2 3 1 60\n3 4 1 102.2\n")
+    out = tmp_path / "plots"
+    code, _, _ = run(capsys, "plot", str(tmp_path / "out.frac"), "distance",
+                     "temporal-distance", "--out", str(out))
+    assert code == 0
+    distance = plot_rows(out / "frac" / "plot.distance-distribution.frac.tsv")
+    snapshot, last = final_snapshot(
+        plot_rows(out / "frac" / "plot.temporal-distance-distribution.frac.tsv"))
+    assert last == "102.2"
+    assert snapshot == distance
+    assert len(distance) == 4  # hops 0-3 of the 4-node path
+
+
+def test_final_snapshot_equals_distance_plot_with_one_bfs(tmp_path, capsys, monkeypatch):
+    from netstats import stats
+    from netstats.graph import Format, Graph, WeightType
+    from netstats.io import write_out
+
+    rng = np.random.default_rng(604)
+    base = random_simple_undirected(rng, 60, 0.08)
+    m = len(base.src)
+    g = Graph(fmt=Format.UNDIRECTED, weights=WeightType.UNWEIGHTED, n1=60, n2=None,
+              src=base.src, dst=base.dst, weight=np.ones(m),
+              timestamp=np.sort(rng.integers(0, 10**6, m)).astype(np.float64))
+    (tmp_path / "out.t").write_bytes(write_out(g))
+    calls = []
+    bfs = stats._bfs_counts
+    monkeypatch.setattr(stats, "_bfs_counts", lambda *a: calls.append(1) or bfs(*a))
+    out = tmp_path / "plots"
+    code, _, _ = run(capsys, "plot", str(tmp_path / "out.t"), "distance",
+                     "temporal-distance", "--out", str(out))
+    assert code == 0
+    distance = plot_rows(out / "t" / "plot.distance-distribution.t.tsv")
+    rows = plot_rows(out / "t" / "plot.temporal-distance-distribution.t.tsv")
+    snapshot, last = final_snapshot(rows)
+    assert float(last) == g.timestamp.max()
+    assert snapshot == distance
+    assert len({row[0] for row in rows}) == 5
+    assert len(calls) == 5  # four earlier snapshots and one pass for both plots
+
+
+def test_validate_node_count_beyond_pair_key_limit(tmp_path, capsys):
+    # pair keys a * (n + 1) + b would wrap around in int64
+    (tmp_path / "out.big").write_bytes(
+        b"% asym positive\n% 2 4000000000 4000000000\n3999999999 2\n2 3999999999\n")
+    (tmp_path / "meta.big").write_bytes(META)
+    code, out, err = run(capsys, "validate", str(tmp_path / "out.big"))
+    assert code == 1 and err == ""
+    assert out.startswith("error\t2\tbig: declared node count 4000000000")

@@ -196,3 +196,31 @@ def test_ids_beyond_int64_are_dataset_errors(token):
     with pytest.raises(DatasetError) as exc:
         parse_out(b"% asym unweighted\n1 " + token + b"\n")
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("text, line", [
+    (b"% asym positive\n% 2 4000000000 4000000000\n3999999999 2\n2 3999999999\n", 2),
+    (b"% bip unweighted\n% 1 2000000000 2000000000\n1 1\n", 2),
+    (b"% asym positive\n1 2\n2 3999999999\n", 3),
+    (b"% sym unweighted\n3037000499 1\n", 2),
+    (b"% bip unweighted\n2000000000 1\n1 1\n1 2000000000\n", 4),
+], ids=["declared", "declared-bipartite", "id", "id-at-limit", "ids-bipartite"])
+def test_node_counts_beyond_pair_key_limit(text, line):
+    with pytest.raises(DatasetError) as exc:
+        parse_out(text)
+    assert exc.value.line == line
+
+
+def test_pair_keys_at_the_node_limit():
+    from netstats.graph import MAX_NODES, Graph, GraphError
+
+    with pytest.raises(GraphError, match="exceed the limit"):
+        Graph(fmt=Format.BIPARTITE, weights=WeightType.UNWEIGHTED, n1=MAX_NODES,
+              n2=1, src=np.array([1]), dst=np.array([1]))
+
+    top = MAX_NODES
+    g, _ = parse_out(f"% asym positive\n{top} 2\n2 {top}\n{top} {top - 1}\n".encode())
+    assert g.n == top
+    a, b = g.pairs.endpoints()
+    assert sorted(zip(a.tolist(), b.tolist())) == [(2, top), (top, 2), (top, top - 1)]
+    assert g.pairs.reciprocated().tolist() == [True, True, False]
