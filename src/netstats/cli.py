@@ -169,7 +169,10 @@ def _stats_one(network, path, names, opts, outdir) -> tuple[str, int]:
         graph, _header, _meta = _load(Path(path))
     except DatasetError as exc:
         return f"error: {network}: {exc}\n", 1
-    rows = _stats.compute_all(graph, opts, names=names)
+    try:
+        rows = _stats.compute_all(graph, opts, names=names)
+    except GraphError as exc:  # a graph without nodes has no Workspace
+        return f"error: {network}: {exc}\n", 1
     text = _stats.statistics_tsv(rows)
     if outdir:
         _atomic_write(Path(outdir) / network / "statistics.tsv", text.encode())
@@ -199,7 +202,9 @@ PLOT_KINDS = (
 def _plot_series(kind, graph, opts, k, ws=None):
     """Series for one CLI plot kind: list of (file slug, PlotSeries, extra files).
 
-    ``ws``, the dataset's Workspace, gives both distance kinds one BFS pass.
+    ``ws``, the dataset's Workspace, gives both distance kinds one BFS pass
+    and shares its pattern and per-node triangle counts with the
+    assortativity and clustering plots.
     """
     if kind == "temporal":
         return [("temporal-distribution", _plots.plot_temporal(graph), None)]
@@ -216,9 +221,10 @@ def _plot_series(kind, graph, opts, k, ws=None):
     if kind == "out-in":
         return [("out-in-comparison", _plots.plot_out_in(graph), None)]
     if kind == "assortativity":
-        return [("assortativity-plot", _plots.plot_assortativity(graph), None)]
+        return [("assortativity-plot", _plots.plot_assortativity(ws or graph), None)]
     if kind == "clustering":
-        return [("clustering-distribution", _plots.plot_clustering_distribution(graph), None)]
+        series = _plots.plot_clustering_distribution(ws or graph)
+        return [("clustering-distribution", series, None)]
     if kind == "spectrum":
         out = []
         for matrix in ("adjacency", "normalized", "laplacian"):

@@ -497,8 +497,13 @@ def _check_weight(weights, w, temporal, zero_ok, lineno):
 _BLOCK_ROWS = 1 << 16  # rows formatted at a time, so per-row strings stay few
 
 
-def _number_text(x: np.ndarray) -> list[str]:
-    """Each value as an integer if it is a whole number below 1e15, else its repr."""
+def number_text(x: np.ndarray) -> list[str]:
+    """Each value as an integer if it is a whole number below 1e15, else its repr.
+
+    The one number format of the program's text outputs: edge files, plot
+    data and statistics.  ``nan`` and ``inf`` print as their repr.
+    """
+    x = np.asarray(x, dtype=np.float64)
     whole = (x == np.trunc(x)) & (np.abs(x) < 1e15)
     text = np.empty(len(x), dtype=object)
     text[whole] = list(map(str, x[whole].astype(np.int64).tolist()))
@@ -528,7 +533,7 @@ def write_out(g: Graph, header: Header | None = None) -> bytes:
     for lo in range(0, len(g.src), _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
         columns = [map(str, g.src[rows].tolist()), map(str, g.dst[rows].tolist())]
-        columns += [_number_text(c[rows]) for c in (g.weight, g.timestamp) if c is not None]
+        columns += [number_text(c[rows]) for c in (g.weight, g.timestamp) if c is not None]
         lines.append("\n".join(map("\t".join, zip(*columns))))
     return ("\n".join(lines) + "\n").encode("utf-8")
 

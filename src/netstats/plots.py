@@ -28,7 +28,8 @@ from .spectral import (
     eig_general,
     eig_symmetric,
 )
-from .stats import DEFAULT_OPTIONS, Options, Workspace, format_value
+from .io import number_text
+from .stats import DEFAULT_OPTIONS, Options, Workspace
 
 SPECTRUM_BINS = 49  # odd, so no bin boundary sits at zero for the normalized matrix
 
@@ -55,19 +56,16 @@ class PlotSeries:
             f"\t{k}={v}" for k, v in sorted(self.annotations.items())
         )
         header = f"# kind={self.kind}\tcolumns={names}\tscales={scales}{notes}"
-        lines = [header]
-        cols = list(self.columns.values())
-        for i in range(len(self)):
-            lines.append("\t".join(format_value(_py(c[i])) for c in cols))
-        return "\n".join(lines) + "\n"
+        cols = [_column_text(c) for c in self.columns.values()]
+        return "\n".join([header, *map("\t".join, zip(*cols))]) + "\n"
 
 
-def _py(x):
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    return x
+def _column_text(column):
+    """A column's cells as text: integers by ``str``, floats by ``number_text``."""
+    column = np.asarray(column)
+    if column.dtype.kind in "biu":
+        return map(str, column.tolist())
+    return number_text(column)
 
 
 def _static(g: Graph) -> Graph:
@@ -185,13 +183,15 @@ def plot_out_in(g: Graph) -> PlotSeries:
     )
 
 
-def plot_assortativity(g: Graph) -> PlotSeries:
-    """Degree vs. the average degree of neighbors, per non-isolated node."""
-    ws = Workspace(g)
-    pattern = ws.pattern
+def plot_assortativity(g: Graph | Workspace) -> PlotSeries:
+    """Degree vs. the average degree of neighbors, per non-isolated node.
+
+    ``g`` may be a Graph or a Workspace, as for :func:`plot_distance_distribution`.
+    """
+    ws = g if isinstance(g, Workspace) else Workspace(g)
     deg = ws.g.degrees.astype(np.float64)
-    sdeg = np.diff(pattern.indptr)
-    neighbor_sum = pattern @ deg
+    sdeg = ws.sdeg
+    neighbor_sum = ws.pattern @ deg
     keep = sdeg > 0
     avg = neighbor_sum[keep] / sdeg[keep]
     return PlotSeries(
@@ -206,11 +206,16 @@ def plot_assortativity(g: Graph) -> PlotSeries:
     )
 
 
-def plot_clustering_distribution(g: Graph) -> PlotSeries:
-    ws = Workspace(g)
+def plot_clustering_distribution(g: Graph | Workspace) -> PlotSeries:
+    """Cumulative distribution of the local clustering coefficient.
+
+    ``g`` may be a Graph or a Workspace; a Workspace shares its per-node
+    triangle counts with the ``clusco2`` statistic.
+    """
+    ws = g if isinstance(g, Workspace) else Workspace(g)
     if ws.g.is_bipartite:
         raise IncompatibleGraphError("clustering is undefined for bipartite graphs")
-    values = np.sort(_stats._local_clustering_values(ws.pattern))
+    values = np.sort(_stats._local_clustering_values(ws))
     distinct, counts = np.unique(values, return_counts=True)
     fraction = np.cumsum(counts) / len(values)
     return PlotSeries(

@@ -75,12 +75,15 @@ class Operator:
 
     ``nodes`` maps matrix rows to original combined node ids; for the
     biadjacency matrix, rows are left nodes and ``col_nodes`` right ones.
+    ``directed`` marks a matrix built from a directed graph, whose edges
+    need not be reciprocated.
     """
 
     kind: MatrixKind
     matrix: sparse.csr_array
     nodes: np.ndarray
     col_nodes: np.ndarray | None = None
+    directed: bool = False
 
     @property
     def dim(self) -> int:
@@ -88,7 +91,11 @@ class Operator:
 
     @property
     def is_symmetric(self) -> bool:
-        return self.kind in _SYMMETRIC_KINDS and self.col_nodes is None
+        """Whether the matrix is symmetric: only the degree matrix of a
+        directed graph is."""
+        if self.col_nodes is not None or self.kind not in _SYMMETRIC_KINDS:
+            return False
+        return not self.directed or self.kind is MatrixKind.DEGREE
 
     def norm_bound(self) -> float:
         """Inf-norm upper bound on the spectral norm, used to scale residuals."""
@@ -183,7 +190,7 @@ def build_operator(g: Graph, kind: MatrixKind) -> Operator:
         mat = sparse.eye_array(n, format="csr") - _scale(a, w, -1.0, 0.0)
     else:  # pragma: no cover
         raise ValueError(kind)
-    return Operator(kind, sparse.csr_array(mat), nodes=nodes)
+    return Operator(kind, sparse.csr_array(mat), nodes=nodes, directed=g.is_directed)
 
 
 def _directed_weight(g: Graph, out_side: bool) -> np.ndarray:
@@ -256,7 +263,8 @@ def eig_symmetric(
     if order not in ("largest-absolute", "smallest"):
         raise ValueError(f"unknown order {order!r}")
     if not op.is_symmetric:
-        raise IncompatibleGraphError(f"{op.kind.value} is not symmetric")
+        of = "of a directed graph " if op.directed else ""
+        raise IncompatibleGraphError(f"the {op.kind.value} matrix {of}is not symmetric")
     n = op.dim
     if k < 1 or k > n:
         raise GraphError(f"k={k} out of range for dimension {n}")

@@ -33,6 +33,7 @@ from .graph import (
     latest_state,
     strip_weights,
 )
+from .io import number_text
 from .spectral import MatrixKind, build_operator, eig_symmetric
 
 FULL = "full graph"
@@ -136,6 +137,9 @@ class Workspace:
 
     @cached_property
     def lcc(self) -> Graph:
+        """Largest component; the graph itself when it is connected."""
+        if self.g.component_labels.max() == 0:
+            return self.g
         return largest_connected_component(self.g)
 
     @cached_property
@@ -153,8 +157,13 @@ class Workspace:
         return _drop_loops(strip_weights(self.sym_lcc))
 
     @cached_property
+    def triangles(self) -> np.ndarray:
+        """Triangles through each node of the simple loopless graph."""
+        return _triangles_per_node(self.pattern)
+
+    @cached_property
     def triangle_count(self) -> int:
-        return _triangle_count(self.pattern)
+        return int(self.triangles.sum()) // 3
 
     @cached_property
     def tour4_trace(self) -> int:
@@ -372,28 +381,6 @@ def _row_chunks(work: np.ndarray, bound: int = _CHUNK_WORK):
         start = end
 
 
-def _triangle_count(pattern) -> int:
-    """Exact triangle count via a degree-ordered orientation."""
-    n = pattern.shape[0]
-    if pattern.nnz == 0:
-        return 0
-    upper = sparse.triu(pattern, k=1).tocoo()
-    i, j = upper.row, upper.col
-    deg = np.diff(pattern.indptr)
-    swap = (deg[i] > deg[j]) | ((deg[i] == deg[j]) & (i > j))
-    a = np.where(swap, j, i)
-    b = np.where(swap, i, j)
-    fwd = sparse.coo_array(
-        (np.ones(len(a), dtype=np.int64), (a, b)), shape=(n, n)
-    ).tocsr()
-    out_work = fwd @ np.diff(fwd.indptr).astype(np.int64)
-    total = 0
-    for lo, hi in _row_chunks(out_work):
-        block = fwd[lo:hi] @ fwd
-        total += int(block.multiply(fwd[lo:hi]).sum())
-    return total
-
-
 def _tour4_trace(pattern) -> int:
     """Tr(A^4) of the simple loopless graph = sum of squared wedge counts."""
     if pattern.nnz == 0:
@@ -415,15 +402,35 @@ def _square_count(ws) -> int:
 
 
 def _triangles_per_node(pattern) -> np.ndarray:
+    """Triangles through each node, from the degree-ordered orientation.
+
+    F points each edge from its lower (degree, id) end to its higher one
+    (Schank and Wagner, WEA 2005; Latapy, TCS 407, 2008), so a triangle
+    x < y < z in that order is the edge x->z closing the path x->y->z.
+    (F@F)∘F counts it once, at (x, z): its row sums credit x and its column
+    sums z.  (Fᵀ@F)∘F counts it at (y, z), and its row sums credit y.  No
+    node has more than sqrt(2m) out-neighbours in F, which bounds both
+    products.
+    """
+    n = pattern.shape[0]
+    out = np.zeros(n, dtype=np.int64)
     if pattern.nnz == 0:
-        return np.zeros(pattern.shape[0], dtype=np.int64)
-    deg = np.diff(pattern.indptr).astype(np.int64)
-    work = pattern @ deg
-    out = np.zeros(pattern.shape[0], dtype=np.int64)
-    for lo, hi in _row_chunks(work):
-        block = pattern[lo:hi] @ pattern
-        paired = block.multiply(pattern[lo:hi]).sum(axis=1)
-        out[lo:hi] = np.asarray(paired).ravel() // 2
+        return out
+    deg = np.diff(pattern.indptr)
+    rows = np.repeat(np.arange(n), deg)
+    cols = pattern.indices
+    up = (deg[rows] < deg[cols]) | ((deg[rows] == deg[cols]) & (rows < cols))
+    fwd = sparse.csr_array(
+        (np.ones(int(up.sum()), dtype=np.int64), (rows[up], cols[up])), shape=(n, n)
+    )
+    out_deg = np.diff(fwd.indptr).astype(np.int64)
+    for lo, hi in _row_chunks(fwd @ out_deg):
+        closed = (fwd[lo:hi] @ fwd).multiply(fwd[lo:hi])
+        out[lo:hi] += closed.sum(axis=1)
+        out += closed.sum(axis=0)
+    back = fwd.T.tocsr()
+    for lo, hi in _row_chunks(back @ out_deg):
+        out[lo:hi] += (back[lo:hi] @ fwd).multiply(fwd[lo:hi]).sum(axis=1)
     return out
 
 
@@ -542,17 +549,16 @@ def stat_clusco(ws) -> StatisticValue:
 @statistic("clusco2")
 def stat_clusco2(ws) -> StatisticValue:
     _require_unipartite(ws.g, "the clustering coefficient")
-    values = _local_clustering_values(ws.pattern)
+    values = _local_clustering_values(ws)
     return StatisticValue("clusco2", float(values.mean()), SIMPLE)
 
 
-def _local_clustering_values(pattern) -> np.ndarray:
-    deg = np.diff(pattern.indptr).astype(np.int64)
-    tri = _triangles_per_node(pattern)
-    wedges = deg * (deg - 1) // 2
-    out = np.zeros(len(deg), dtype=np.float64)
+def _local_clustering_values(ws) -> np.ndarray:
+    """Local clustering coefficient per node; 0 where the degree is below 2."""
+    wedges = ws.sdeg * (ws.sdeg - 1) // 2
+    out = np.zeros(len(wedges), dtype=np.float64)
     mask = wedges > 0
-    out[mask] = tri[mask] / wedges[mask]
+    out[mask] = ws.triangles[mask] / wedges[mask]
     return out
 
 
@@ -932,6 +938,11 @@ def _min_frustrated_edges(g: Graph, opts: Options) -> tuple[int, bool]:
     pairs = g.unordered_pairs()
     a, b = pairs.endpoints()
     labels = g.component_labels
+    # a 2-colourable component needs no frustrated edge: search only the others
+    odd = ~_two_colourable(g.n, a - 1, b - 1, labels)[labels[a - 1]]
+    a, b, w = a[odd], b[odd], pairs.sums[odd]
+    if len(a) == 0:
+        return 0, True
     sizes = np.bincount(labels)
     # node index within its component: nodes keep their id order there
     nodes = np.argsort(labels, kind="stable")
@@ -945,7 +956,7 @@ def _min_frustrated_edges(g: Graph, opts: Options) -> tuple[int, bool]:
     groups = zip(comp[np.concatenate([[0], cuts])],
                  np.split(local[a - 1][by_comp], cuts),
                  np.split(local[b - 1][by_comp], cuts),
-                 np.split(pairs.sums[by_comp], cuts))
+                 np.split(w[by_comp], cuts))
     total = 0
     all_exact = True
     for c, ea, eb, ew in groups:
@@ -957,6 +968,25 @@ def _min_frustrated_edges(g: Graph, opts: Options) -> tuple[int, bool]:
             total += f
             all_exact = all_exact and exact
     return total, all_exact
+
+
+def _two_colourable(n, a, b, labels) -> np.ndarray:
+    """Per component: whether it is bipartite, for 0-based edge endpoints.
+
+    In the bipartite double cover, node (v, s) is v + s * n and each edge
+    {a, b} joins (a, 0) to (b, 1) and (a, 1) to (b, 0).  A component is
+    2-colourable exactly when it has no odd cycle, that is, when no path
+    of the cover leads from (v, 0) to (v, 1).
+    """
+    cover = sparse.coo_array(
+        (np.ones(2 * len(a), dtype=np.int8),
+         (np.concatenate([a, a + n]), np.concatenate([b + n, b]))),
+        shape=(2 * n, 2 * n),
+    )
+    _, cover_labels = connected_components(cover, directed=False)
+    bipartite = np.zeros(labels.max() + 1, dtype=bool)
+    bipartite[labels] = cover_labels[:n] != cover_labels[n:]
+    return bipartite
 
 
 def _frustration_exact(nc, ea, eb, ew) -> int:
@@ -1116,15 +1146,7 @@ def _extreme_eigs(op, opts) -> tuple[float, float]:
 
 
 def format_value(v) -> str:
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if v == int(v) and abs(v) < 1e15:
-            return str(int(v))
-        return repr(v)
-    return str(v)
+    return number_text([v])[0] if isinstance(v, float) else str(v)
 
 
 def statistics_tsv(rows: list[tuple[str, StatisticValue | Exception]]) -> str:

@@ -41,9 +41,24 @@ class Axis:
         self.px_lo, self.px_hi = px_lo, px_hi
 
     def place(self, v: float) -> float:
-        v = math.log10(v) if self.log else v
+        return float(self.places([v])[0])
+
+    def places(self, values) -> np.ndarray:
+        """Pixel coordinate of each value.
+
+        The log is ``math.log10`` per value, which ``np.log10`` need not
+        match to the last bit; the rest is the same IEEE arithmetic as on
+        one Python float.
+        """
+        v = np.asarray(values, dtype=np.float64)
+        if self.log:
+            v = np.fromiter(map(math.log10, v.tolist()), np.float64, len(v))
         frac = (v - self.lo) / (self.hi - self.lo)
         return self.px_lo + frac * (self.px_hi - self.px_lo)
+
+    def pixel_text(self, values) -> list[str]:
+        """Pixel coordinate of each value, to two decimals."""
+        return list(map("{:.2f}".format, self.places(values).tolist()))
 
     def ticks(self):
         if self.log:
@@ -139,16 +154,13 @@ def _frame(ax: Axis, ay: Axis) -> list[str]:
 
 def _dots(x, y, ax, ay, color) -> list[str]:
     return [
-        f'<circle cx="{ax.place(float(a)):.2f}" cy="{ay.place(float(b)):.2f}" '
-        f'r="2.5" fill="{color}" fill-opacity="0.7"/>'
-        for a, b in zip(x, y)
+        f'<circle cx="{a}" cy="{b}" r="2.5" fill="{color}" fill-opacity="0.7"/>'
+        for a, b in zip(ax.pixel_text(x), ay.pixel_text(y))
     ]
 
 
 def _polyline(x, y, ax, ay, color) -> str:
-    pts = " ".join(
-        f"{ax.place(float(a)):.2f},{ay.place(float(b)):.2f}" for a, b in zip(x, y)
-    )
+    pts = " ".join(map(",".join, zip(ax.pixel_text(x), ay.pixel_text(y))))
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
 
 

@@ -314,3 +314,41 @@ def test_validate_node_count_beyond_pair_key_limit(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(tmp_path / "out.big"))
     assert code == 1 and err == ""
     assert out.startswith("error\t2\tbig: declared node count 4000000000")
+
+
+def test_stats_directory_continues_past_empty_dataset(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "out.a").write_bytes(b"% sym unweighted\n% 0 0 0\n")  # no nodes at all
+    (data / "out.b").write_bytes(K3)
+    out = tmp_path / "res"
+    code, stdout, err = run(capsys, "stats", str(data), "--all", "--out", str(out))
+    assert code == 1 and err == ""
+    assert stdout == "error: a: statistics are undefined for the empty graph\n"
+    assert not (out / "a").exists()
+    assert (out / "b" / "statistics.tsv").exists()
+
+
+# a directed 3-cycle with a chord: eigenvalues 1.32 and -0.66 +- 0.56i, which
+# a symmetric solver reported as -1, 1 and 0 with residuals up to 0.5
+CHORDED = b"% asym unweighted\n1 2\n2 3\n3 1\n1 3\n"
+
+
+def test_directed_graphs_skip_symmetric_spectra(tmp_path, capsys):
+    (tmp_path / "out.c").write_bytes(CHORDED)
+    out = tmp_path / "plots"
+    code, stdout, _ = run(capsys, "plot", str(tmp_path / "out.c"), "--all",
+                          "--out", str(out))
+    assert code == 0
+    for kind in ("spectrum", "drawing"):
+        assert f"skipped\tc\t{kind}\tthe adjacency matrix of a directed graph" in stdout
+    assert not list(out.glob("c/spectra.*")) and not list(out.glob("c/plot.drawing-*"))
+    for kind in ("spectrum", "drawing"):
+        code, stdout, _ = run(capsys, "plot", str(tmp_path / "out.c"), kind,
+                              "--out", str(out))
+        assert code == 1 and stdout.startswith(f"error: c: {kind}: ")
+    # the general solver still gives the true spectrum
+    table = np.loadtxt(out / "c" / "plot.complex-eigenvalues.c.tsv")
+    want = np.linalg.eigvals(np.array([[0, 1, 1], [0, 0, 1], [1, 0, 0]], dtype=float))
+    assert np.allclose(np.sort_complex(table[:, 0] + 1j * table[:, 1]),
+                       np.sort_complex(want), atol=1e-9)

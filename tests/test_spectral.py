@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netstats.graph import Format, WeightType
+from netstats.graph import Format, IncompatibleGraphError, WeightType
 from netstats.spectral import (
     MatrixKind,
     SpectralError,
@@ -152,6 +152,20 @@ def test_dag_adjacency_nilpotent():
     op = build_operator(g, MatrixKind.ADJACENCY)
     res = eig_general(op, k=3)
     assert np.allclose(res.values, 0, atol=1e-12)
+
+
+def test_directed_matrices_are_not_symmetric():
+    chorded = graph_from_pairs([(1, 2), (2, 3), (3, 1), (1, 3)], 3, fmt=Format.DIRECTED)
+    for kind in (MatrixKind.ADJACENCY, MatrixKind.NORMALIZED, MatrixKind.LAPLACIAN,
+                 MatrixKind.SIGNLESS_LAPLACIAN, MatrixKind.NORM_LAPLACIAN):
+        op = build_operator(chorded, kind)
+        assert not op.is_symmetric
+        with pytest.raises(IncompatibleGraphError, match="directed graph"):
+            eig_symmetric(op, 1)
+    assert build_operator(chorded, MatrixKind.DEGREE).is_symmetric
+    undirected = graph_from_pairs([(1, 2), (2, 3), (3, 1), (1, 3)], 3)
+    for kind in (MatrixKind.ADJACENCY, MatrixKind.NORMALIZED, MatrixKind.LAPLACIAN):
+        assert build_operator(undirected, kind).is_symmetric
 
 
 def test_reciprocal_directed_graph_real_spectrum():

@@ -673,6 +673,39 @@ def test_frustration_does_not_depend_on_the_clock(monkeypatch):
     assert cut.method == "estimated" and cut.value >= exact.value
 
 
+def _path(n, first=1):
+    return [(first + i, first + i + 1) for i in range(n - 1)]
+
+
+def _cycle(n, first=1):
+    return _path(n, first) + [(first + n - 1, first)]
+
+
+@pytest.mark.parametrize("n", [50, 51, 400, 3000])
+def test_frustration_of_bipartite_paths_and_cycles_is_exactly_zero(n):
+    # the spectral bound alone gave 1/(n-1) on a 3000-node path
+    for pairs in (_path(n), _cycle(n + n % 2)):
+        res = compute(graph_from_pairs(pairs, n + n % 2), "frustration")
+        assert (res.value, res.method, res.parameters) == (0.0, "exact", {})
+
+
+def test_frustration_mixes_bipartite_and_odd_components():
+    # a 3000-node path, an even 40-cycle, a 25-cycle (searched), K3 and a
+    # 5-cycle (enumerated): one frustrated edge per odd cycle
+    parts = [(_path, 3000), (_cycle, 40), (_cycle, 25), (_cycle, 3), (_cycle, 5)]
+    pairs, first = [], 1
+    for make, size in parts:
+        pairs += make(size, first)
+        first += size
+    g = graph_from_pairs(pairs, first - 1)
+    res = compute(g, "frustration")
+    assert res.method == "exact"
+    assert res.value == 3 / len(pairs)
+    # the bipartite components add no frustrated edge
+    odd = graph_from_pairs(_cycle(25) + _cycle(3, 26) + _cycle(5, 29), 33)
+    assert compute(odd, "frustration").value * odd.m == 3
+
+
 def test_nonbip():
     assert val(k3(), "nonbip") == pytest.approx(0.5)
     bip = graph_from_pairs([(1, 1), (1, 2), (2, 2)], 2, fmt=Format.BIPARTITE, n2=2)
