@@ -1,4 +1,15 @@
-"""Network statistics, spectra and plot-data generation for edge-table datasets."""
+"""Network statistics, spectra and plot-data generation for edge-table datasets.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` in the environment.
+Spectral values change in their last digits with OpenBLAS's thread count,
+and the command line runs one process per core, so each process gets one
+BLAS thread.  numpy and scipy read the variable when they load their
+OpenBLAS, so it acts only when ``netstats`` is imported before either.
+"""
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .graph import (
     Format,

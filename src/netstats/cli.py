@@ -3,13 +3,16 @@
 Outputs are reproducible: a fixed seed drives every estimated quantity, and
 files are written atomically (temp + rename) under
 ``<outdir>/<network>/``.  The default output directory comes from the
-``NETSTAT_OUT`` environment variable.
+``NETSTAT_OUT`` environment variable.  ``stats`` and ``plot`` process the
+datasets of a directory in forked workers, one per usable core unless
+``--jobs`` says otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import multiprocessing
 import os
 import sys
 import tempfile
@@ -346,10 +349,21 @@ def _worker(task):
     return name, output, rc
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has an affinity mask
+        return os.cpu_count() or 1
+
+
 def _run_parallel(jobs, tasks):
-    if jobs <= 1 or len(tasks) <= 1:
+    jobs = min(jobs, len(tasks))
+    if jobs <= 1:
         return [_worker(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # forked workers start with the modules already imported; the package
+    # pins OpenBLAS to one thread, so the process has no threads to fork
+    context = multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
         return list(pool.map(_worker, tasks))
 
 
@@ -365,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--k", type=int, default=SPECTRUM_K)
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=_usable_cores(),
+                       help="datasets processed at once (default: usable cores)")
 
     v = sub.add_parser("validate", help="check dataset files against the format rules")
     v.add_argument("paths", nargs="+")

@@ -9,7 +9,8 @@ adjacency A and the diagonal node-weight matrix D:
 Zero-weight nodes are dropped before building the kinds that need D
 inverses; the surviving original node ids are carried on the operator.
 Solvers use a dense direct decomposition up to ``DENSE_LIMIT`` rows and a
-Krylov iteration (ARPACK) above, seeded deterministically.
+Krylov iteration (ARPACK) above, seeded deterministically.  Both paths
+raise :class:`SpectralError` when a relative residual exceeds ``tol``.
 """
 
 from __future__ import annotations
@@ -310,7 +311,7 @@ def eig_symmetric(
     idx = idx[:k]
     vals, vecs = vals[idx], vecs[:, idx]
     residuals = _residuals(op, vals, vecs)
-    _check_residuals(op, residuals, tol, method)
+    _check_residuals(op, residuals, tol)
     return SpectralResult(
         kind=op.kind, order=order, values=vals, vectors=vecs,
         residuals=residuals, nodes=op.nodes, method=method,
@@ -358,7 +359,7 @@ def eig_general(
     vals, vecs = vals[idx], vecs[:, idx]
     vals, vecs = _conjugate_close(vals, vecs, op.norm_bound() * 1e-9)
     residuals = _residuals(op, vals, vecs)
-    _check_residuals(op, residuals, tol, method)
+    _check_residuals(op, residuals, tol)
     return SpectralResult(
         kind=op.kind, order="largest-modulus", values=vals, vectors=vecs,
         residuals=residuals, nodes=op.nodes, method=method,
@@ -403,7 +404,7 @@ def svd_biadjacency(
         np.linalg.norm(b @ v - u * s, axis=0),
         np.linalg.norm(b.T @ u - v * s, axis=0),
     ) / scale
-    _check_residuals(op, res, tol, method)
+    _check_residuals(op, res, tol)
     return SpectralResult(
         kind=op.kind, order="singular", values=s, vectors=u,
         residuals=res, nodes=op.nodes, method=method,
@@ -417,9 +418,8 @@ def _residuals(op: Operator, vals, vecs) -> np.ndarray:
     return res / max(op.norm_bound(), 1e-30)
 
 
-def _check_residuals(op, residuals, tol, method):
-    # the dense path is trusted to LAPACK accuracy; only gate the iteration
-    if method == "iterative" and len(residuals) and np.max(residuals) > tol:
+def _check_residuals(op, residuals, tol):
+    if len(residuals) and not np.max(residuals) <= tol:  # NaN fails too
         raise SpectralError(
             f"residuals up to {np.max(residuals):.3g} exceed tolerance {tol:.3g} "
             f"for {op.kind.value}",

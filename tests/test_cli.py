@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netstats
 from netstats.cli import main
 
 from gen import random_simple_undirected
@@ -200,7 +203,8 @@ def test_parallel_jobs_match_serial(tmp_path, capsys):
         (tmp_path / f"out.g{i}").write_bytes(write_out(g))
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
-    assert main(["stats", str(tmp_path), "--all", "--out", str(serial)]) == 0
+    assert main(["stats", str(tmp_path), "--all", "--out", str(serial),
+                 "--jobs", "1"]) == 0
     assert main(["stats", str(tmp_path), "--all", "--out", str(parallel),
                  "--jobs", "3"]) == 0
     capsys.readouterr()
@@ -208,6 +212,42 @@ def test_parallel_jobs_match_serial(tmp_path, capsys):
         a = (serial / f"g{i}" / "statistics.tsv").read_bytes()
         b = (parallel / f"g{i}" / "statistics.tsv").read_bytes()
         assert a == b
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_outputs_do_not_depend_on_jobs_or_blas_threads(tmp_path):
+    # dense eigensolves of 300 nodes differ in their last digits between one
+    # and two OpenBLAS threads, unless the package pins the count
+    from netstats.io import write_out
+
+    rng = np.random.default_rng(9)
+    data = tmp_path / "data"
+    data.mkdir()
+    for i in range(2):
+        (data / f"out.g{i}").write_bytes(write_out(random_simple_undirected(rng, 300, 0.05)))
+    src = str(Path(netstats.__file__).parents[1])
+    runs = {}
+    for jobs, blas_threads in (("1", "1"), ("2", None), ("2", "2")):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas_threads:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        out = tmp_path / f"jobs{jobs}-blas{blas_threads}"
+        for command in ("stats", "plot"):
+            subprocess.run([sys.executable, "-m", "netstats.cli", command, str(data), "--all",
+                            "--jobs", jobs, "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+        runs[out.name] = _files(out)
+    first, *others = runs.values()
+    assert Path("g0/statistics.tsv") in first
+    assert Path("g1/spectra.laplacian.g1.tsv") in first
+    for other in others:
+        assert other.keys() == first.keys()
+        assert [name for name in first if first[name] != other[name]] == []
 
 
 def test_usage_error_exit_code(capsys):

@@ -235,3 +235,52 @@ def test_values_tsv_roundtrip_shape():
     assert len(lines) == 3
     vec_lines = res.vectors_tsv().strip().split("\n")
     assert len(vec_lines) == 4
+
+
+def _bend_first_vector(solver, slot):
+    """``solver`` with the first column of its output ``slot`` pushed off its
+    eigen- or singular pair."""
+
+    def bent(*args, **kwargs):
+        out = list(solver(*args, **kwargs))
+        out[slot] = out[slot].copy()
+        out[slot][0, 0] += 1e-4
+        return tuple(out)
+
+    return bent
+
+
+def _dense_cases():
+    rng = np.random.default_rng(19)
+    undirected = random_simple_undirected(rng, 12, 0.4)
+    pairs = {(int(a) + 1, int(b) + 1) for a, b in rng.integers(0, 12, size=(40, 2)) if a != b}
+    directed = graph_from_pairs(sorted(pairs), 12, fmt=Format.DIRECTED)
+    bipartite = graph_from_pairs(sorted(pairs), 12, fmt=Format.BIPARTITE, n2=12)
+    return {
+        "eigh": lambda: eig_symmetric(build_operator(undirected, MatrixKind.ADJACENCY), k=12),
+        "eig": lambda: eig_general(build_operator(directed, MatrixKind.ADJACENCY), k=12),
+        "svd": lambda: svd_biadjacency(bipartite, k=5),
+    }
+
+
+@pytest.mark.parametrize("lapack, slot", [("eigh", 1), ("eig", 1), ("svd", 0)])
+def test_dense_path_gates_residuals(monkeypatch, lapack, slot):
+    solve = _dense_cases()[lapack]
+    assert solve().method == "dense"
+    monkeypatch.setattr(np.linalg, lapack, _bend_first_vector(getattr(np.linalg, lapack), slot))
+    with pytest.raises(SpectralError, match="exceed tolerance") as info:
+        solve()
+    assert np.max(info.value.residuals) > 1e-8
+
+
+def test_nan_residual_fails_the_gate(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def nan_vector(a):
+        vals, vecs = eigh(a)
+        vecs[:, 0] = np.nan
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_vector)
+    with pytest.raises(SpectralError):
+        eig_symmetric(build_operator(triangle(), MatrixKind.ADJACENCY), k=3)
