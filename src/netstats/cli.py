@@ -170,11 +170,8 @@ def _selected(positional, flag_value, all_flag, known, what) -> list[str]:
 def _stats_one(network, path, names, opts, outdir) -> tuple[str, int]:
     try:
         graph, _header, _meta = _load(Path(path))
-    except DatasetError as exc:
-        return f"error: {network}: {exc}\n", 1
-    try:
         rows = _stats.compute_all(graph, opts, names=names)
-    except GraphError as exc:  # a graph without nodes has no Workspace
+    except (DatasetError, GraphError) as exc:  # a graph without nodes has no Workspace
         return f"error: {network}: {exc}\n", 1
     text = _stats.statistics_tsv(rows)
     if outdir:
@@ -202,54 +199,47 @@ PLOT_KINDS = (
 )
 
 
-def _plot_series(kind, graph, opts, k, ws=None):
+def _plot_series(kind, ws, k):
     """Series for one CLI plot kind: list of (file slug, PlotSeries, extra files).
 
-    ``ws``, the dataset's Workspace, gives both distance kinds one BFS pass
-    and shares its pattern and per-node triangle counts with the
-    assortativity and clustering plots.
+    Every kind reads the dataset's one Workspace, so the plots share its
+    latest state, LCC, BFS pass and per-node triangle counts.
     """
     if kind == "temporal":
-        return [("temporal-distribution", _plots.plot_temporal(graph), None)]
+        return [("temporal-distribution", _plots.plot_temporal(ws), None)]
     if kind == "weight":
-        return [("weight-distribution", _plots.plot_weight(graph), None)]
+        return [("weight-distribution", _plots.plot_weight(ws), None)]
     if kind == "multiplicity":
-        return [("multiplicity-distribution", _plots.plot_multiplicity(graph), None)]
+        return [("multiplicity-distribution", _plots.plot_multiplicity(ws), None)]
     if kind == "degree":
-        dist, cum = _plots.plot_degree(graph)
+        dist, cum = _plots.plot_degree(ws)
         return [("degree-distribution", dist, None),
                 ("cumulative-degree-distribution", cum, None)]
     if kind == "lorenz":
-        return [("lorenz", _plots.plot_lorenz(graph), None)]
+        return [("lorenz", _plots.plot_lorenz(ws), None)]
     if kind == "out-in":
-        return [("out-in-comparison", _plots.plot_out_in(graph), None)]
+        return [("out-in-comparison", _plots.plot_out_in(ws), None)]
     if kind == "assortativity":
-        return [("assortativity-plot", _plots.plot_assortativity(ws or graph), None)]
+        return [("assortativity-plot", _plots.plot_assortativity(ws), None)]
     if kind == "clustering":
-        series = _plots.plot_clustering_distribution(ws or graph)
-        return [("clustering-distribution", series, None)]
+        return [("clustering-distribution", _plots.plot_clustering_distribution(ws), None)]
     if kind == "spectrum":
         out = []
         for matrix in ("adjacency", "normalized", "laplacian"):
-            topk, cum, result = _plots.spectrum_with_result(graph, matrix, k, opts)
+            topk, cum, result = _plots.plot_spectrum(ws, matrix, k)
             spectra = (f"spectra.{matrix}", result.values_tsv())
             out.append((f"spectrum-topk-{matrix}", topk, spectra))
             out.append((f"spectrum-cumulative-{matrix}", cum, None))
         return out
     if kind == "complex-eigenvalues":
-        return [("complex-eigenvalues", _plots.plot_complex_eigenvalues(graph, k, opts), None)]
+        return [("complex-eigenvalues", _plots.plot_complex_eigenvalues(ws, k), None)]
     if kind == "distance":
-        series = _plots.plot_distance_distribution(ws or graph, opts=opts)
-        return [("distance-distribution", series, None)]
+        return [("distance-distribution", _plots.plot_distance_distribution(ws), None)]
     if kind == "temporal-distance":
-        cuts = _snapshot_cuts(graph)
-        series = _plots.plot_distance_distribution(ws or graph, snapshots=cuts, opts=opts)
+        series = _plots.plot_distance_distribution(ws, snapshots=_snapshot_cuts(ws.raw))
         return [("temporal-distance-distribution", series, None)]
     if kind == "drawing":
-        return [
-            (f"drawing-{m}", _plots.draw_graph(graph, m, opts), None)
-            for m in ("A", "N", "L")
-        ]
+        return [(f"drawing-{m}", _plots.draw_graph(ws, m), None) for m in ("A", "N", "L")]
     raise CliError(f"unknown plot kind {kind!r}")
 
 
@@ -264,22 +254,21 @@ def _snapshot_cuts(graph, pieces: int = 5) -> list[float]:
 def _plot_one(network, path, kinds, opts, outdir, k, all_mode) -> tuple[str, int]:
     try:
         graph, _header, _meta = _load(Path(path))
-    except DatasetError as exc:
+        ws = _stats.Workspace(graph, opts)
+    except (DatasetError, GraphError) as exc:  # a graph without nodes has no Workspace
         return f"error: {network}: {exc}\n", 1
-    # an empty graph has no Workspace; its distance kinds report why
-    ws = _stats.Workspace(graph, opts) if graph.n else None
     messages = []
     code = 0
     for kind in kinds:
         files = {}  # rendered in full before any is written
         try:
-            for slug, series, extra in _plot_series(kind, graph, opts, k, ws):
+            for slug, series, extra in _plot_series(kind, ws, k):
                 files[f"plot.{slug}.{network}.tsv"] = series.to_tsv().encode()
                 files[f"plot.{slug}.{network}.svg"] = render_svg(series)
                 if extra is not None:
                     extra_slug, text = extra
                     files[f"{extra_slug}.{network}.tsv"] = text.encode()
-        except (IncompatibleGraphError, GraphError) as exc:
+        except GraphError as exc:
             if all_mode:
                 messages.append(f"skipped\t{network}\t{kind}\t{exc}\n")
                 continue

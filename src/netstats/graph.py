@@ -276,6 +276,17 @@ class Graph:
     def has_timestamps(self) -> bool:
         return self.timestamp is not None
 
+    @property
+    def static(self) -> "Graph":
+        """The graph that is measured: an event log's latest state, else itself."""
+        return self._latest_state if self.weights is WeightType.DYNAMIC else self
+
+    @cached_property
+    def _latest_state(self) -> "Graph":
+        # only an event log caches here: caching ``self`` would make every
+        # graph a reference cycle
+        return latest_state(self)
+
     @cached_property
     def multiplicities(self) -> np.ndarray:
         """Edge count represented by each record (aggregated-line expansion)."""
@@ -421,7 +432,7 @@ class Graph:
         dynamic graphs use their latest state.
         """
         if self.weights is WeightType.DYNAMIC:
-            return latest_state(self).adjacency
+            return self.static.adjacency
         u, v = self.endpoints()
         w = self.effective_weights
         if self.weights in (WeightType.UNWEIGHTED, WeightType.POSITIVE):
@@ -452,7 +463,7 @@ class Graph:
     def pattern(self) -> sparse.csr_array:
         """0/1 symmetric adjacency of the underlying simple loopless graph."""
         if self.weights is WeightType.DYNAMIC:
-            return latest_state(self).pattern
+            return self.static.pattern
         a, b = self.unordered_pairs().endpoints()
         keep = a != b
         a, b = a[keep] - 1, b[keep] - 1
@@ -483,8 +494,7 @@ def _col_eq(a, b):
 
 def strip_weights(g: Graph) -> Graph:
     """The corresponding unweighted graph (multiplicities are kept)."""
-    if g.weights is WeightType.DYNAMIC:
-        return latest_state(g)
+    g = g.static
     if g.weights in (WeightType.UNWEIGHTED, WeightType.POSITIVE):
         return g
     kind = WeightType.POSITIVE if g.weights.allows_multi else WeightType.UNWEIGHTED
@@ -509,10 +519,9 @@ def dedupe(g: Graph) -> Graph:
 
     Simple (single-edge) graphs map to themselves unchanged.
     """
+    g = g.static
     if not g.weights.allows_multi:
         return g
-    if g.weights is WeightType.DYNAMIC:
-        return latest_state(g)
     return g.select(np.sort(g.pairs.first), weights=WeightType.UNWEIGHTED,
                     weight=None, timestamp=None)
 

@@ -1,8 +1,13 @@
 """Deterministic plot-data emitters: named numeric columns plus axis scales.
 
-Each builder returns one or more :class:`PlotSeries`; ``to_tsv`` serializes
-a series with a single ``#`` header line naming the kind, columns, scales
-and annotations.  Rendering to SVG lives in :mod:`netstats.svg`.
+Every builder takes the dataset's :class:`~netstats.stats.Workspace`, the
+one the statistics use: ``ws.raw`` for the record columns (timestamps,
+weights, multiplicities), ``ws.g`` for the measured graph (an event log's
+latest state), ``ws.lcc`` for its largest component and ``ws.opts`` for
+the solver options.  Each builder returns one or more :class:`PlotSeries`;
+``to_tsv`` serializes a series with a single ``#`` header line naming the
+kind, columns, scales and annotations.  Rendering to SVG lives in
+:mod:`netstats.svg`.
 """
 
 from __future__ import annotations
@@ -12,14 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stats as _stats
-from .graph import (
-    Graph,
-    GraphError,
-    IncompatibleGraphError,
-    WeightType,
-    largest_connected_component,
-    latest_state,
-)
+from .graph import GraphError, IncompatibleGraphError
+# unused here; perfbench/trace_run.py wraps these names in every module it times
+from .graph import largest_connected_component, latest_state  # noqa: F401
 from .spectral import (
     DENSE_LIMIT,
     MatrixKind,
@@ -29,7 +29,7 @@ from .spectral import (
     eig_symmetric,
 )
 from .io import number_text
-from .stats import DEFAULT_OPTIONS, Options, Workspace
+from .stats import Workspace
 
 SPECTRUM_BINS = 49  # odd, so no bin boundary sits at zero for the normalized matrix
 
@@ -68,15 +68,11 @@ def _column_text(column):
     return number_text(column)
 
 
-def _static(g: Graph) -> Graph:
-    return latest_state(g) if g.weights is WeightType.DYNAMIC else g
-
-
-def plot_temporal(g: Graph, bins: int = 100) -> PlotSeries:
+def plot_temporal(ws: Workspace, bins: int = 100) -> PlotSeries:
     """Edge counts per uniform time bin over [min, max] timestamp."""
-    if g.timestamp is None:
+    ts = ws.raw.timestamp
+    if ts is None:
         raise IncompatibleGraphError("temporal distribution requires timestamps")
-    ts = g.timestamp
     lo, hi = float(ts.min()), float(ts.max())
     if lo == hi:
         return PlotSeries(
@@ -94,8 +90,9 @@ def plot_temporal(g: Graph, bins: int = 100) -> PlotSeries:
     )
 
 
-def plot_weight(g: Graph) -> PlotSeries:
+def plot_weight(ws: Workspace) -> PlotSeries:
     """Frequency of each distinct raw edge weight (ratings stay uncentered)."""
+    g = ws.raw
     if not (g.weights.has_weight_column and g.weight is not None):
         raise IncompatibleGraphError("no edge weights to plot")
     values, counts = np.unique(g.weight, return_counts=True)
@@ -106,11 +103,11 @@ def plot_weight(g: Graph) -> PlotSeries:
     )
 
 
-def plot_multiplicity(g: Graph) -> PlotSeries:
+def plot_multiplicity(ws: Workspace) -> PlotSeries:
     """Frequency of per-pair edge multiplicities, on doubly logarithmic scales."""
-    if not g.weights.allows_multi:
+    if not ws.raw.weights.allows_multi:
         raise IncompatibleGraphError("multiplicity distribution requires multi-edges")
-    values, counts = np.unique(g.pairs.sums, return_counts=True)
+    values, counts = np.unique(ws.raw.pairs.sums, return_counts=True)
     return PlotSeries(
         "multiplicity-distribution",
         {"multiplicity": values, "count": counts},
@@ -118,18 +115,9 @@ def plot_multiplicity(g: Graph) -> PlotSeries:
     )
 
 
-def plot_weight_or_multiplicity(g: Graph) -> PlotSeries:
-    if g.weights is WeightType.UNWEIGHTED:
-        raise IncompatibleGraphError("unweighted networks have no weight distribution")
-    if g.weights.has_weight_column:
-        return plot_weight(g)
-    return plot_multiplicity(g)
-
-
-def plot_degree(g: Graph) -> tuple[PlotSeries, PlotSeries]:
+def plot_degree(ws: Workspace) -> tuple[PlotSeries, PlotSeries]:
     """Degree frequency plot and strictly-greater-than cumulative plot."""
-    g = _static(g)
-    deg = g.degrees
+    deg = ws.g.degrees
     n = len(deg)
     values, counts = np.unique(deg, return_counts=True)
     nz = values > 0  # zero degree cannot appear on the log axis
@@ -161,9 +149,8 @@ def plot_degree(g: Graph) -> tuple[PlotSeries, PlotSeries]:
     return dist, cumulative
 
 
-def plot_lorenz(g: Graph) -> PlotSeries:
-    g = _static(g)
-    x, y = _stats.lorenz_curve(g.degrees)
+def plot_lorenz(ws: Workspace) -> PlotSeries:
+    x, y = _stats.lorenz_curve(ws.g.degrees)
     return PlotSeries(
         "lorenz",
         {"node_fraction": x, "edge_fraction": y},
@@ -171,8 +158,8 @@ def plot_lorenz(g: Graph) -> PlotSeries:
     )
 
 
-def plot_out_in(g: Graph) -> PlotSeries:
-    g = _static(g)
+def plot_out_in(ws: Workspace) -> PlotSeries:
+    g = ws.g
     if not g.is_directed:
         raise IncompatibleGraphError("out/in comparison requires a directed graph")
     nodes = np.arange(1, g.n + 1)
@@ -183,12 +170,8 @@ def plot_out_in(g: Graph) -> PlotSeries:
     )
 
 
-def plot_assortativity(g: Graph | Workspace) -> PlotSeries:
-    """Degree vs. the average degree of neighbors, per non-isolated node.
-
-    ``g`` may be a Graph or a Workspace, as for :func:`plot_distance_distribution`.
-    """
-    ws = g if isinstance(g, Workspace) else Workspace(g)
+def plot_assortativity(ws: Workspace) -> PlotSeries:
+    """Degree vs. the average degree of neighbors, per non-isolated node."""
     deg = ws.g.degrees.astype(np.float64)
     sdeg = ws.sdeg
     neighbor_sum = ws.pattern @ deg
@@ -206,13 +189,11 @@ def plot_assortativity(g: Graph | Workspace) -> PlotSeries:
     )
 
 
-def plot_clustering_distribution(g: Graph | Workspace) -> PlotSeries:
+def plot_clustering_distribution(ws: Workspace) -> PlotSeries:
     """Cumulative distribution of the local clustering coefficient.
 
-    ``g`` may be a Graph or a Workspace; a Workspace shares its per-node
-    triangle counts with the ``clusco2`` statistic.
+    The per-node triangle counts are the Workspace's, shared with ``clusco2``.
     """
-    ws = g if isinstance(g, Workspace) else Workspace(g)
     if ws.g.is_bipartite:
         raise IncompatibleGraphError("clustering is undefined for bipartite graphs")
     values = np.sort(_stats._local_clustering_values(ws))
@@ -232,40 +213,24 @@ _SPECTRUM_MATRICES = {
 }
 
 
-def plot_spectrum(
-    g: Graph,
-    matrix: str = "adjacency",
-    k: int = SPECTRUM_K,
-    opts: Options = DEFAULT_OPTIONS,
-) -> tuple[PlotSeries, PlotSeries]:
-    """Top-k eigenvalue plot and 49-bin cumulative spectral distribution.
+def plot_spectrum(ws: Workspace, matrix: str = "adjacency", k: int = SPECTRUM_K):
+    """Top-k eigenvalue plot, 49-bin cumulative spectral distribution and
+    the eigensolver's result.
 
-    The cumulative distribution is exact (full dense spectrum) up to the
-    dense limit; above it, per-bin [min, max] counts bracket where the
-    unresolved eigenvalues can fall.
+    The adjacency and normalized spectra are those of the whole graph, the
+    Laplacian spectrum that of the largest component.  The cumulative
+    distribution is exact (full dense spectrum) up to the dense limit;
+    above it, per-bin [min, max] counts bracket where the unresolved
+    eigenvalues can fall.
     """
-    topk, cumulative, _ = spectrum_with_result(g, matrix, k, opts)
-    return topk, cumulative
-
-
-def spectrum_with_result(
-    g: Graph,
-    matrix: str = "adjacency",
-    k: int = SPECTRUM_K,
-    opts: Options = DEFAULT_OPTIONS,
-):
-    """Like :func:`plot_spectrum` but also returns the raw eigensolver result."""
     if matrix not in _SPECTRUM_MATRICES:
         raise GraphError(f"unknown spectrum matrix {matrix!r}")
     kind, order = _SPECTRUM_MATRICES[matrix]
-    base = _static(g)
-    if kind is MatrixKind.LAPLACIAN:
-        base = largest_connected_component(base)
-    op = build_operator(base, kind)
+    op = build_operator(ws.lcc if kind is MatrixKind.LAPLACIAN else ws.g, kind)
     k = min(k, op.dim)
     exact = op.dim <= DENSE_LIMIT
     res = eig_symmetric(op, op.dim if exact else k, order,
-                        tol=opts.tol, seed=opts.seed)
+                        tol=ws.opts.tol, seed=ws.opts.seed)
     values = np.real(res.values)
     shown = values[:k]
     topk = PlotSeries(
@@ -328,15 +293,12 @@ def _spectrum_cumulative(op, values, exact, matrix) -> PlotSeries:
     )
 
 
-def plot_complex_eigenvalues(
-    g: Graph, k: int = SPECTRUM_K, opts: Options = DEFAULT_OPTIONS
-) -> PlotSeries:
+def plot_complex_eigenvalues(ws: Workspace, k: int = SPECTRUM_K) -> PlotSeries:
     """Top-k complex adjacency eigenvalues of a directed graph."""
-    g = _static(g)
-    if not g.is_directed:
+    if not ws.g.is_directed:
         raise IncompatibleGraphError("complex eigenvalues require a directed graph")
-    op = build_operator(g, MatrixKind.ADJACENCY)
-    res = eig_general(op, min(k, op.dim), tol=opts.tol, seed=opts.seed)
+    op = build_operator(ws.g, MatrixKind.ADJACENCY)
+    res = eig_general(op, min(k, op.dim), tol=ws.opts.tol, seed=ws.opts.seed)
     return PlotSeries(
         "complex-eigenvalues",
         {"real": res.values.real, "imag": res.values.imag},
@@ -346,21 +308,16 @@ def plot_complex_eigenvalues(
 
 
 def plot_distance_distribution(
-    g: Graph | Workspace,
-    snapshots: list[float] | None = None,
-    opts: Options = DEFAULT_OPTIONS,
+    ws: Workspace, snapshots: list[float] | None = None
 ) -> PlotSeries:
     """Cumulative fraction of node pairs within each hop count.
 
     With snapshot timestamps, the same curve is computed on the graph cut
-    at each time, long-format: (time, hop, fraction).  ``g`` may be a
-    Graph or a Workspace, as for the statistics; a Workspace brings its own
-    options.  The plain curve and every snapshot that holds all records use
-    the Workspace's hop data, so one Workspace serves both plots with one
-    BFS pass.  A snapshot that holds the same records as the one before it
-    reuses that one's hop data.
+    at each time, long-format: (time, hop, fraction).  The plain curve and
+    every snapshot that holds all records use the Workspace's hop data, so
+    one Workspace serves both plots with one BFS pass.  A snapshot that
+    holds the same records as the one before it reuses that one's hop data.
     """
-    ws = g if isinstance(g, Workspace) else Workspace(g, opts)
     if snapshots is None:
         data = ws.hops
         frac = np.cumsum(data.counts) / data.counts.sum()
@@ -412,7 +369,7 @@ _DRAWING_MATRICES = {
 }
 
 
-def draw_graph(g: Graph, matrix: str = "A", opts: Options = DEFAULT_OPTIONS) -> PlotSeries:
+def draw_graph(ws: Workspace, matrix: str = "A") -> PlotSeries:
     """Spectral layout: two eigenvectors give the (x, y) node coordinates.
 
     Adjacency and normalized layouts use the two eigenvectors of largest
@@ -423,24 +380,22 @@ def draw_graph(g: Graph, matrix: str = "A", opts: Options = DEFAULT_OPTIONS) -> 
     if matrix not in _DRAWING_MATRICES:
         raise GraphError(f"unknown drawing matrix {matrix!r}")
     kind, plot_kind = _DRAWING_MATRICES[matrix]
-    base = _static(g)
-    restricted = largest_connected_component(base)
-    annotations = {"matrix": matrix}
-    if restricted.n != base.n:
-        annotations["restricted_to_lcc"] = "true"
-    op = build_operator(restricted, kind)
+    op = build_operator(ws.lcc, kind)
     if op.dim < 3:
         raise IncompatibleGraphError("spectral drawings need at least 3 nodes")
+    tol, seed = ws.opts.tol, ws.opts.seed
     if kind is MatrixKind.LAPLACIAN:
-        res = eig_symmetric(op, 3, "smallest", tol=opts.tol, seed=opts.seed)
+        res = eig_symmetric(op, 3, "smallest", tol=tol, seed=seed)
         vx, vy = res.vectors[:, 1], res.vectors[:, 2]  # skip the zero eigenvector
     else:
-        res = eig_symmetric(op, 2, "largest-absolute", tol=opts.tol, seed=opts.seed)
+        res = eig_symmetric(op, 2, "largest-absolute", tol=tol, seed=seed)
         vx, vy = res.vectors[:, 0], res.vectors[:, 1]
     vx, vy = _fix_sign(vx), _fix_sign(vy)
+    annotations = {"matrix": matrix}
     node_ids = op.nodes
-    if restricted.node_origin is not None:
-        node_ids = restricted.node_origin[node_ids - 1]
+    if ws.lcc is not ws.g:  # the Workspace's LCC is the graph when it is connected
+        annotations["restricted_to_lcc"] = "true"
+        node_ids = ws.lcc.node_origin[node_ids - 1]
     return PlotSeries(
         plot_kind,
         {"node": node_ids, "x": vx, "y": vy},

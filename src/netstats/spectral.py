@@ -23,7 +23,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigs, eigsh, svds
 
-from .graph import Graph, GraphError, IncompatibleGraphError, WeightType, latest_state
+from .graph import Graph, GraphError, IncompatibleGraphError
+# unused here; perfbench/trace_run.py wraps this name in every module it times
+from .graph import latest_state  # noqa: F401
 
 DENSE_LIMIT = 500
 DEFAULT_TOL = 1e-8
@@ -137,13 +139,9 @@ class SpectralResult:
         return out.getvalue()
 
 
-def _static(g: Graph) -> Graph:
-    return latest_state(g) if g.weights is WeightType.DYNAMIC else g
-
-
 def build_operator(g: Graph, kind: MatrixKind) -> Operator:
     """Assemble the requested characteristic matrix as a sparse CSR operator."""
-    g = _static(g)
+    g = g.static
     if kind is MatrixKind.BIADJACENCY:
         if not g.is_bipartite:
             raise IncompatibleGraphError("biadjacency requires a bipartite graph")

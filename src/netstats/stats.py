@@ -30,9 +30,10 @@ from .graph import (
     IncompatibleGraphError,
     WeightType,
     largest_connected_component,
-    latest_state,
     strip_weights,
 )
+# unused here; perfbench/trace_run.py wraps this name in every module it times
+from .graph import latest_state  # noqa: F401
 from .io import number_text
 from .spectral import MatrixKind, build_operator, eig_symmetric
 
@@ -67,17 +68,11 @@ _REGISTRY: dict[str, "callable"] = {}
 
 
 def statistic(name):
-    """Register a statistic; the wrapped function accepts a Graph or Workspace."""
+    """Register a statistic: a function of a :class:`Workspace`."""
 
     def deco(fn):
-        def wrapper(arg, opts: Options = DEFAULT_OPTIONS):
-            ws = arg if isinstance(arg, Workspace) else Workspace(arg, opts)
-            return fn(ws)
-
-        wrapper.__name__ = fn.__name__
-        wrapper.__doc__ = fn.__doc__
-        _REGISTRY[name] = wrapper
-        return wrapper
+        _REGISTRY[name] = fn
+        return fn
 
     return deco
 
@@ -123,9 +118,9 @@ class Workspace:
         self.raw = g
         self.opts = opts
 
-    @cached_property
+    @property
     def g(self) -> Graph:
-        return latest_state(self.raw) if self.raw.weights is WeightType.DYNAMIC else self.raw
+        return self.raw.static
 
     @cached_property
     def pattern(self):
@@ -172,6 +167,11 @@ class Workspace:
     @cached_property
     def wedge_count(self) -> int:
         return _binom_sum(np.bincount(self.sdeg), 2)
+
+    @cached_property
+    def signed_triple_trace(self) -> float:
+        """Trace of S^3 for the sign matrix S of the simple loopless graph."""
+        return _signed_triple_trace(_signed_simple_adjacency(_as_undirected(self.g)))
 
 
 def _as_undirected(g: Graph) -> Graph:
@@ -593,9 +593,7 @@ def stat_clusco_signed(ws) -> StatisticValue:
     s = ws.wedge_count
     if s == 0:
         return _nan("clusco_signed", SIMPLE)
-    signs = _signed_simple_adjacency(_as_undirected(g))
-    tr3 = _signed_triple_trace(signs)
-    return StatisticValue("clusco_signed", tr3 / (2 * s), SIMPLE)
+    return StatisticValue("clusco_signed", ws.signed_triple_trace / (2 * s), SIMPLE)
 
 
 @statistic("clusco_signed_rel")
@@ -607,8 +605,7 @@ def stat_clusco_signed_rel(ws) -> StatisticValue:
     t = ws.triangle_count
     if t == 0:
         return _nan("clusco_signed_rel", SIMPLE)
-    signs = _signed_simple_adjacency(_as_undirected(g))
-    balance = _signed_triple_trace(signs) / 6
+    balance = ws.signed_triple_trace / 6
     return StatisticValue("clusco_signed_rel", balance / t, SIMPLE)
 
 

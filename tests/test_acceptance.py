@@ -20,7 +20,7 @@ from netstats.graph import (
 )
 from netstats.io import parse_out, write_out
 from netstats.spectral import MatrixKind, build_operator, eig_general, eig_symmetric, svd_biadjacency
-from netstats.stats import Options, compute
+from netstats.stats import Options, Workspace, compute
 from netstats.cli import main
 
 from gen import ALL_COMBOS, graph_from_pairs, random_graph, random_simple_undirected
@@ -229,7 +229,7 @@ def test_08_inequality_measures():
     g = random_simple_undirected(rng, 10_000, 0.0008)
     from netstats.plots import plot_lorenz
 
-    series = plot_lorenz(g)
+    series = plot_lorenz(Workspace(g))
     x, y = series.columns["node_fraction"], series.columns["edge_fraction"]
     area = float(np.trapezoid(x - y, x))
     gini = compute(g, "gini").value

@@ -392,3 +392,69 @@ def test_directed_graphs_skip_symmetric_spectra(tmp_path, capsys):
     want = np.linalg.eigvals(np.array([[0, 1, 1], [0, 0, 1], [1, 0, 0]], dtype=float))
     assert np.allclose(np.sort_complex(table[:, 0] + 1j * table[:, 1]),
                        np.sort_complex(want), atol=1e-9)
+
+
+# a 4-cycle with a chord plus a separate edge: the LCC is nodes 1-4
+TWO_PARTS = b"% sym unweighted\n1 2\n2 3\n3 4\n4 1\n1 3\n5 6\n"
+# an event log whose latest state is the 4-cycle 1-2-3-4
+EVENTS = b"% sym dynamic\n1 2 1 1\n2 3 1 2\n1 3 1 3\n1 3 -1 4\n3 4 1 5\n4 1 1 6\n"
+
+
+def _count_calls(monkeypatch, modules, name):
+    """Count calls of the function ``name`` wherever ``modules`` look it up."""
+    calls = []
+    fn = getattr(modules[0], name)
+
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_plot_kinds_share_one_largest_component(tmp_path, capsys, monkeypatch):
+    from netstats import plots, stats
+
+    (tmp_path / "out.two").write_bytes(TWO_PARTS)
+    calls = _count_calls(monkeypatch, [stats, plots], "largest_connected_component")
+    out = tmp_path / "plots"
+    code, stdout, _ = run(capsys, "plot", str(tmp_path / "out.two"), "spectrum",
+                          "drawing", "distance", "--out", str(out), "--jobs", "1")
+    assert code == 0 and stdout == ""
+    assert len(calls) == 1
+    for m in ("A", "N", "L"):
+        rows = plot_rows(out / "two" / f"plot.drawing-{m}.two.tsv")
+        assert sorted(int(row[0]) for row in rows) == [1, 2, 3, 4]
+    assert (out / "two" / "plot.distance-distribution.two.tsv").exists()
+
+
+def test_plot_kinds_share_one_latest_state(tmp_path, capsys, monkeypatch):
+    from netstats import graph, plots, spectral, stats
+
+    (tmp_path / "out.ev").write_bytes(EVENTS)
+    calls = _count_calls(monkeypatch, [graph, plots, spectral, stats], "latest_state")
+    out = tmp_path / "plots"
+    code, stdout, _ = run(capsys, "plot", str(tmp_path / "out.ev"), "degree", "lorenz",
+                          "assortativity", "--out", str(out), "--jobs", "1")
+    assert code == 0 and stdout == ""
+    assert len(calls) == 1
+    rows = plot_rows(out / "ev" / "plot.degree-distribution.ev.tsv")
+    assert rows == [["2", "4"]]  # the latest state is a 4-cycle
+
+
+def test_plot_directory_continues_past_empty_dataset(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "out.a").write_bytes(b"% sym unweighted\n% 0 0 0\n")  # no nodes at all
+    (data / "out.b").write_bytes(K3)
+    out = tmp_path / "plots"
+    for kinds in (["--all"], ["degree", "distance"]):
+        code, stdout, err = run(capsys, "plot", str(data), *kinds, "--out", str(out))
+        assert code == 1 and err == ""
+        about_a = [line for line in stdout.splitlines() if ": a:" in line or "\ta\t" in line]
+        assert about_a == ["error: a: statistics are undefined for the empty graph"]
+        assert not (out / "a").exists()
+        assert (out / "b" / "plot.degree-distribution.b.tsv").exists()
+        assert (out / "b" / "plot.distance-distribution.b.svg").exists()

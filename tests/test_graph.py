@@ -175,6 +175,20 @@ def test_latest_state():
         latest_state(triangle())
 
 
+def test_static_is_the_latest_state_of_an_event_log_only():
+    log = graph_from_pairs([(1, 2)] * 3 + [(2, 3)], 3, weights=WeightType.DYNAMIC,
+                           w=[1, -1, 1, -1])
+    assert log.static == latest_state(log)
+    assert log.static is log.static  # replayed once per graph
+    assert log.pattern is log.static.pattern and log.adjacency is log.static.adjacency
+    assert strip_weights(log) is log.static and dedupe(log) is log.static
+    g = triangle()
+    assert g.static is g
+    assert g.static.static is g
+    # a graph holds no reference to itself, so it is not a reference cycle
+    assert all(v is not g for v in vars(g).values())
+
+
 def test_latest_state_orders_by_timestamp():
     g = Graph(fmt=Format.UNDIRECTED, weights=WeightType.DYNAMIC, n1=2, n2=None,
               src=np.array([1, 1]), dst=np.array([2, 2]),

@@ -13,6 +13,7 @@ from netstats.stats import (
     DEFAULT_OPTIONS,
     _frustration_exact,
     _min_frustrated_edges,
+    Workspace,
     compute,
 )
 
@@ -105,7 +106,7 @@ def test_pair_index_consumers_match_brute_force(g):
         for i, (u, v) in enumerate(combined(g)):
             sums[pair_key(g, u, v)] += int(g.multiplicities[i])
         hist = sorted(Counter(sums.values()).items())
-        series = plot_multiplicity(g)
+        series = plot_multiplicity(Workspace(g))
         got = list(zip(series.columns["multiplicity"].tolist(),
                        series.columns["count"].tolist()))
         assert got == hist

@@ -366,6 +366,18 @@ def test_signed_clustering():
     assert val(oneneg, "clusco_signed") == pytest.approx(-1 / 3 * 3 * 1 / 3 * 3)
 
 
+def test_signed_clustering_pair_shares_one_triple_pass(monkeypatch):
+    g = graph_from_pairs([(1, 2), (2, 3), (1, 3), (3, 4)], 4,
+                         weights=WeightType.SIGNED, w=[-1, 1, 1, -1])
+    calls = []
+    trace = stats._signed_triple_trace
+    monkeypatch.setattr(stats, "_signed_triple_trace", lambda s: calls.append(1) or trace(s))
+    rows = dict(compute_all(g, names=["clusco_signed", "clusco_signed_rel"]))
+    assert len(calls) == 1
+    assert rows["clusco_signed"].value == val(g, "clusco_signed")
+    assert rows["clusco_signed_rel"].value == -1.0
+
+
 def test_signed_clustering_bounded():
     rng = np.random.default_rng(75)
     for _ in range(25):

@@ -44,7 +44,7 @@ def check_against_networkx(g):
             with pytest.raises(IncompatibleGraphError):
                 compute(g, name)
         with pytest.raises(IncompatibleGraphError):
-            plot_clustering_distribution(g)
+            plot_clustering_distribution(ws)
         return
     clusco = compute(g, "clusco").value
     if sum(math.comb(d, 2) for _, d in oracle.degree) == 0:
@@ -55,7 +55,7 @@ def check_against_networkx(g):
         nx.average_clustering(oracle), rel=1e-12, abs=1e-15)
     local = nx.clustering(oracle)
     distinct, counts = np.unique([local[v] for v in range(1, g.n + 1)], return_counts=True)
-    series = plot_clustering_distribution(g)
+    series = plot_clustering_distribution(ws)
     np.testing.assert_allclose(series.columns["local_clustering"], distinct, rtol=1e-12)
     np.testing.assert_allclose(series.columns["fraction_at_most"],
                                np.cumsum(counts) / g.n, rtol=1e-12)
