@@ -5,7 +5,8 @@ files are written atomically (temp + rename) under
 ``<outdir>/<network>/``.  The default output directory comes from the
 ``NETSTAT_OUT`` environment variable.  ``stats`` and ``plot`` process the
 datasets of a directory in forked workers, one per usable core unless
-``--jobs`` says otherwise.
+``--jobs`` asks for fewer; ``stats`` on a single dataset forks its
+statistics across the workers instead.
 """
 
 from __future__ import annotations
@@ -140,12 +141,15 @@ def cmd_stats(args) -> int:
     names = _selected(args.names, args.stats, args.all, _stats.statistic_names(), "statistic")
     opts = _options(args)
     outdir = args.out or os.environ.get("NETSTAT_OUT")
-    tasks = [
-        (name, str(p), "stats", names, opts, outdir, args.k)
-        for name, p in _discover(args.dataset)
-    ]
+    datasets = _discover(args.dataset)
+    if len(datasets) == 1:  # the workers share out its statistics instead
+        (name, p), = datasets
+        results = [(name, *_stats_one(name, str(p), names, opts, outdir, args.jobs))]
+    else:
+        tasks = [(name, str(p), "stats", names, opts, outdir, args.k) for name, p in datasets]
+        results = _run_parallel(args.jobs, tasks)
     code = 0
-    for _name, output, rc in _run_parallel(args.jobs, tasks):
+    for _name, output, rc in results:
         if output:
             sys.stdout.write(output)
         code = max(code, rc)
@@ -167,17 +171,45 @@ def _selected(positional, flag_value, all_flag, known, what) -> list[str]:
     return requested
 
 
-def _stats_one(network, path, names, opts, outdir) -> tuple[str, int]:
+def _stats_one(network, path, names, opts, outdir, jobs=1) -> tuple[str, int]:
     try:
         graph, _header, _meta = _load(Path(path))
-        rows = _stats.compute_all(graph, opts, names=names)
+        if jobs > 1:
+            text = _stats_forked(graph, names, opts, jobs)
+        else:
+            text = _stats.statistics_tsv(_stats.compute_all(graph, opts, names=names))
     except (DatasetError, GraphError) as exc:  # a graph without nodes has no Workspace
         return f"error: {network}: {exc}\n", 1
-    text = _stats.statistics_tsv(rows)
     if outdir:
         _atomic_write(Path(outdir) / network / "statistics.tsv", text.encode())
         return "", 0
     return text, 0
+
+
+_forked_ws = None  # the Workspace that forked statistics workers inherit
+
+
+def _stats_forked(graph, names, opts, jobs) -> str:
+    """One dataset's statistics TSV, its statistics mapped over forked workers.
+
+    The rows come back in the order of ``names``, so the text is the serial
+    run's whatever the scheduling.
+    """
+    global _forked_ws
+    ws = _stats.Workspace(graph, opts)
+    ws.pattern, ws.lcc  # every statistic reads both: build them once, before the fork
+    _forked_ws = ws
+    try:
+        rows = _run_parallel(jobs, names, _stat_row)
+    finally:
+        _forked_ws = None
+    return _stats.TSV_HEADER + "".join(rows)
+
+
+def _stat_row(name) -> str:
+    # rendered in the worker: not every exception survives the trip back
+    # (ArpackNoConvergence pickles but does not unpickle)
+    return _stats.statistics_row(name, _stats.compute_row(_forked_ws, name))
 
 
 # -- plot --------------------------------------------------------------------
@@ -345,15 +377,21 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _run_parallel(jobs, tasks):
-    jobs = min(jobs, len(tasks))
+def _worker_count(jobs, tasks) -> int:
+    """Workers for ``tasks`` items: ``--jobs``, capped at the items and the cores."""
+    return min(jobs, tasks, _usable_cores())
+
+
+def _run_parallel(jobs, tasks, worker=_worker):
+    """``worker`` over ``tasks`` in forked processes, results in task order."""
+    jobs = _worker_count(jobs, len(tasks))
     if jobs <= 1:
-        return [_worker(t) for t in tasks]
+        return [worker(t) for t in tasks]
     # forked workers start with the modules already imported; the package
     # pins OpenBLAS to one thread, so the process has no threads to fork
     context = multiprocessing.get_context("fork")
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-        return list(pool.map(_worker, tasks))
+        return list(pool.map(worker, tasks))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=SPECTRUM_K)
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--jobs", type=int, default=_usable_cores(),
-                       help="datasets processed at once (default: usable cores)")
+                       help="worker processes, at most the usable cores (default: usable cores)")
 
     v = sub.add_parser("validate", help="check dataset files against the format rules")
     v.add_argument("paths", nargs="+")

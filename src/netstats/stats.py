@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from . import spectral
 from .graph import (
@@ -97,16 +98,18 @@ def compute_all(
     instead of aborting the batch.
     """
     ws = Workspace(g, opts)
-    rows = []
-    for name in names or statistic_names():
-        fn = _REGISTRY.get(name)
-        if fn is None:
-            raise KeyError(name)
-        try:
-            rows.append((name, fn(ws)))
-        except Exception as exc:  # batch runs must not abort
-            rows.append((name, exc))
-    return rows
+    return [(name, compute_row(ws, name)) for name in names or statistic_names()]
+
+
+def compute_row(ws: "Workspace", name: str) -> StatisticValue | Exception:
+    """One statistic of a batch: its value, or the exception it raised."""
+    fn = _REGISTRY.get(name)
+    if fn is None:
+        raise KeyError(name)
+    try:
+        return fn(ws)
+    except Exception as exc:  # batch runs must not abort
+        return exc
 
 
 class Workspace:
@@ -877,10 +880,11 @@ def stat_snorm(ws) -> StatisticValue:
 def _operator_norm(a, opts) -> float:
     if max(a.shape) <= spectral.DENSE_LIMIT:
         return float(np.linalg.svd(a.toarray(), compute_uv=False)[0])
-    from scipy.sparse.linalg import svds
-
-    s = svds(a.astype(np.float64), k=1, return_singular_vectors=False,
-             v0=np.random.default_rng(opts.seed).standard_normal(min(a.shape)))
+    try:
+        s = svds(a.astype(np.float64), k=1, return_singular_vectors=False,
+                 v0=np.random.default_rng(opts.seed).standard_normal(min(a.shape)))
+    except ArpackNoConvergence as exc:
+        raise spectral.SpectralError(f"SVD did not converge: {exc}") from exc
     return float(s[0])
 
 
@@ -1146,21 +1150,23 @@ def format_value(v) -> str:
     return number_text([v])[0] if isinstance(v, float) else str(v)
 
 
+TSV_HEADER = "name\tvalue\tcomputed_on\tmethod\tparameters\n"
+
+
 def statistics_tsv(rows: list[tuple[str, StatisticValue | Exception]]) -> str:
     """TSV with columns name, value, computed_on, method, parameters.
 
     Exceptions render as NA rows carrying the failure reason.
     """
-    lines = ["name\tvalue\tcomputed_on\tmethod\tparameters"]
-    for name, res in rows:
-        if isinstance(res, Exception):
-            lines.append(f"{name}\tNA\t-\t-\treason={res}")
-            continue
-        params = ";".join(
-            f"{k}={format_value(v)}" for k, v in sorted(res.parameters.items())
-        ) or "-"
-        lines.append(
-            f"{res.name}\t{format_value(res.value)}\t{res.computed_on}"
-            f"\t{res.method}\t{params}"
-        )
-    return "\n".join(lines) + "\n"
+    return TSV_HEADER + "".join(statistics_row(name, res) for name, res in rows)
+
+
+def statistics_row(name: str, res: StatisticValue | Exception) -> str:
+    """One line of :func:`statistics_tsv`, newline included."""
+    if isinstance(res, Exception):
+        return f"{name}\tNA\t-\t-\treason={res}\n"
+    params = ";".join(
+        f"{k}={format_value(v)}" for k, v in sorted(res.parameters.items())
+    ) or "-"
+    return (f"{res.name}\t{format_value(res.value)}\t{res.computed_on}"
+            f"\t{res.method}\t{params}\n")

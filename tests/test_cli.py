@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import netstats
+from netstats import cli, spectral, stats
 from netstats.cli import main
+from netstats.graph import Format, Graph, WeightType
+from netstats.io import write_out
 
-from gen import random_simple_undirected
+from gen import ALL_COMBOS, random_graph, random_simple_undirected
 
 
 K3 = b"% sym unweighted\n1\t2\n2\t3\n1\t3\n"
@@ -214,15 +217,89 @@ def test_parallel_jobs_match_serial(tmp_path, capsys):
         assert a == b
 
 
+def _write_dataset(folder, name, g):
+    (folder / f"out.{name}").write_bytes(write_out(g))
+    if g.tags:  # the tags that let loops and missing reciprocal pairs parse
+        (folder / f"meta.{name}").write_text(f"tags: {' '.join(sorted(g.tags))}\n")
+    return folder / f"out.{name}"
+
+
+def _stats_tsv(capsys, path, out, jobs):
+    code = main(["stats", str(path), "--all", "--out", str(out), "--jobs", jobs])
+    capsys.readouterr()
+    return code, (out / path.name[4:] / "statistics.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("fmt,weights", ALL_COMBOS)
+def test_one_dataset_forked_statistics_match_serial(tmp_path, capsys, monkeypatch, fmt, weights):
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)  # fork even on one core
+    rng = np.random.default_rng([11, ALL_COMBOS.index((fmt, weights))])
+    for i in range(4):
+        path = _write_dataset(tmp_path, f"g{i}", random_graph(rng, fmt, weights))
+        serial = _stats_tsv(capsys, path, tmp_path / "serial", "1")
+        assert _stats_tsv(capsys, path, tmp_path / "forked", "2") == serial
+        assert b"\tNA\t" in serial[1]
+
+
+def _signed_digraph(rng, n, p):
+    iu, ju = np.nonzero(rng.random((n, n)) < p)
+    keep = iu != ju
+    return Graph(fmt=Format.DIRECTED, weights=WeightType.SIGNED, n1=n, n2=None,
+                 src=iu[keep] + 1, dst=ju[keep] + 1,
+                 weight=rng.choice([-1.0, 1.0], size=int(keep.sum())),
+                 tags=frozenset({"#acyclic"}))
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: random_simple_undirected(rng, 3 * spectral.DENSE_LIMIT // 2, 0.01),
+    lambda rng: _signed_digraph(rng, 3 * spectral.DENSE_LIMIT // 2, 0.005),
+], ids=["undirected", "signed-directed"])
+def test_one_large_dataset_forked_statistics_match_serial(tmp_path, capsys, monkeypatch, make):
+    # above DENSE_LIMIT, so the statistics run the iterative solvers
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    path = _write_dataset(tmp_path, "big", make(np.random.default_rng(12)))
+    serial = _stats_tsv(capsys, path, tmp_path / "serial", "1")
+    assert serial[0] == 0 and b"\tNA\t" in serial[1]
+    assert _stats_tsv(capsys, path, tmp_path / "forked", "2") == serial
+
+
+def test_forked_statistic_failure_reads_as_in_the_serial_run(tmp_path, capsys, monkeypatch):
+    # ArpackNoConvergence pickles, but unpickling it fails: a worker that sent
+    # the exception itself back would break the pool instead of giving a row
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    failure = ArpackNoConvergence("No convergence", np.zeros(0), np.zeros((0, 0)))
+
+    def fails(ws):
+        raise failure
+
+    monkeypatch.setitem(stats._REGISTRY, "nonbip", fails)  # forked workers inherit it
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    (tmp_path / "out.tri").write_bytes(K3)
+    serial = _stats_tsv(capsys, tmp_path / "out.tri", tmp_path / "serial", "1")
+    assert f"nonbip\tNA\t-\t-\treason={failure}\n".encode() in serial[1]
+    assert _stats_tsv(capsys, tmp_path / "out.tri", tmp_path / "forked", "2") == serial
+
+
+def test_workers_capped_at_usable_cores(monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    assert cli._worker_count(5000, 5000) == 2
+    assert cli._worker_count(5000, 1) == 1
+    assert cli._worker_count(1, 5000) == 1
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 8)
+    assert cli._worker_count(5000, 3) == 3
+    assert cli._worker_count(4, 41) == 4
+
+
 def _files(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_outputs_do_not_depend_on_jobs_or_blas_threads(tmp_path):
+@pytest.mark.parametrize("one_file", [False, True], ids=["directory", "one-file"])
+def test_outputs_do_not_depend_on_jobs_or_blas_threads(tmp_path, one_file):
     # dense eigensolves of 300 nodes differ in their last digits between one
-    # and two OpenBLAS threads, unless the package pins the count
-    from netstats.io import write_out
-
+    # and two OpenBLAS threads, unless the package pins the count; a single
+    # out.* file has its statistics, not its datasets, shared out
     rng = np.random.default_rng(9)
     data = tmp_path / "data"
     data.mkdir()
@@ -238,13 +315,15 @@ def test_outputs_do_not_depend_on_jobs_or_blas_threads(tmp_path):
             env["OPENBLAS_NUM_THREADS"] = blas_threads
         out = tmp_path / f"jobs{jobs}-blas{blas_threads}"
         for command in ("stats", "plot"):
-            subprocess.run([sys.executable, "-m", "netstats.cli", command, str(data), "--all",
+            subprocess.run([sys.executable, "-m", "netstats.cli", command,
+                            str(data / "out.g1" if one_file else data), "--all",
                             "--jobs", jobs, "--out", str(out)],
                            env=env, check=True, capture_output=True, timeout=300)
         runs[out.name] = _files(out)
     first, *others = runs.values()
-    assert Path("g0/statistics.tsv") in first
+    assert Path("g1/statistics.tsv") in first
     assert Path("g1/spectra.laplacian.g1.tsv") in first
+    assert (Path("g0/statistics.tsv") in first) != one_file
     for other in others:
         assert other.keys() == first.keys()
         assert [name for name in first if first[name] != other[name]] == []

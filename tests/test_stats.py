@@ -624,6 +624,24 @@ def test_snorm_alcon():
     assert val(k3(), "alcon") == pytest.approx(3.0)
 
 
+def test_snorm_svds_failure_is_a_spectral_error(monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    from netstats import spectral
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("No convergence (11 iterations, 0/1 eigenvectors converged)",
+                                  np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)  # the svds path
+    monkeypatch.setattr(stats, "svds", no_convergence)
+    g = graph_from_pairs([(1, 2), (2, 3), (3, 1)], 3, fmt=Format.DIRECTED)
+    with pytest.raises(spectral.SpectralError, match="SVD did not converge"):
+        compute(g, "snorm")
+    (_, row), = compute_all(g, names=["snorm"])
+    assert isinstance(row, spectral.SpectralError)
+
+
 def test_conflict_balanced_vs_unbalanced():
     rng = np.random.default_rng(111)
     g = random_simple_undirected(rng, 20, 0.3)
