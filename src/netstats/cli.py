@@ -439,6 +439,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "jobs", 1) < 1:  # validate and transform have no --jobs
+            parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

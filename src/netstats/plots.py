@@ -21,12 +21,12 @@ from .graph import GraphError, IncompatibleGraphError
 # unused here; perfbench/trace_run.py wraps these names in every module it times
 from .graph import largest_connected_component, latest_state  # noqa: F401
 from .spectral import (
-    DENSE_LIMIT,
     MatrixKind,
     SPECTRUM_K,
     build_operator,
     eig_general,
     eig_symmetric,
+    spectrum,
 )
 from .io import number_text
 from .stats import Workspace
@@ -228,9 +228,8 @@ def plot_spectrum(ws: Workspace, matrix: str = "adjacency", k: int = SPECTRUM_K)
     kind, order = _SPECTRUM_MATRICES[matrix]
     op = build_operator(ws.lcc if kind is MatrixKind.LAPLACIAN else ws.g, kind)
     k = min(k, op.dim)
-    exact = op.dim <= DENSE_LIMIT
-    res = eig_symmetric(op, op.dim if exact else k, order,
-                        tol=ws.opts.tol, seed=ws.opts.seed)
+    res = spectrum(op, k, order, tol=ws.opts.tol, seed=ws.opts.seed)
+    exact = len(res.values) == op.dim
     values = np.real(res.values)
     shown = values[:k]
     topk = PlotSeries(

@@ -11,6 +11,7 @@ inverses; the surviving original node ids are carried on the operator.
 Solvers use a dense direct decomposition up to ``DENSE_LIMIT`` rows and a
 Krylov iteration (ARPACK) above, seeded deterministically.  Both paths
 raise :class:`SpectralError` when a relative residual exceeds ``tol``.
+No other module of the package decomposes a matrix.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def build_operator(g: Graph, kind: MatrixKind) -> Operator:
     if kind is MatrixKind.ADJACENCY:
         mat = a
     elif kind is MatrixKind.DEGREE:
-        mat = sparse.dia_array((w[np.newaxis, :], [0]), shape=(n, n)).tocsr()
+        mat = _diag(w)
     elif kind is MatrixKind.LAPLACIAN:
         mat = _diag(w) - a
     elif kind is MatrixKind.SIGNLESS_LAPLACIAN:
@@ -270,11 +271,7 @@ def eig_symmetric(
     diag = _diagonal_entries(op.matrix)
     if diag is not None:
         return _eig_diagonal(op, k, order, diag)
-    dense = strategy == "dense" or (strategy == "auto" and n <= DENSE_LIMIT)
-    if not dense and k >= n:
-        dense = True  # Lanczos cannot produce a full spectrum
-
-    if dense:
+    if _dense(strategy, n, k, n):  # Lanczos cannot produce a full spectrum
         vals, vecs = np.linalg.eigh(op.matrix.toarray())
         method = "dense"
     else:
@@ -285,20 +282,8 @@ def eig_symmetric(
         matrix = op.matrix
         if shift:
             matrix = (matrix - sparse.eye_array(n, format="csr") * shift).tocsr()
-        try:
-            vals, vecs = eigsh(
-                matrix,
-                k=min(k, n - 1),
-                which="LM",
-                v0=_seed_vector(n, seed),
-                maxiter=max(1000, 50 * k),
-                tol=tol / 10,
-            )
-        except ArpackNoConvergence as exc:
-            raise SpectralError(
-                f"eigensolver did not converge for {op.kind.value}: {exc}",
-                residuals=getattr(exc, "eigenvalues", None),
-            ) from exc
+        vals, vecs = _arpack(eigsh, matrix, k, tol / 10, seed,
+                             f"eigensolver did not converge for {op.kind.value}")
         vals = vals + shift
         method = "iterative"
 
@@ -332,26 +317,12 @@ def eig_general(
         raise IncompatibleGraphError("general eigenvalues need a square operator")
     if k < 1 or k > n:
         raise GraphError(f"k={k} out of range for dimension {n}")
-    dense = strategy == "dense" or (strategy == "auto" and n <= DENSE_LIMIT)
-    if not dense and k >= n - 1:
-        dense = True  # ARPACK needs k < n-1 for general problems
-    if dense:
+    if _dense(strategy, n, k, n - 1):  # ARPACK needs k < n-1 for general problems
         vals, vecs = np.linalg.eig(op.matrix.toarray())
         method = "dense"
     else:
-        try:
-            vals, vecs = eigs(
-                op.matrix,
-                k=min(k, n - 2),
-                which="LM",
-                v0=_seed_vector(n, seed),
-                maxiter=max(1000, 50 * k),
-                tol=tol / 100,
-            )
-        except ArpackNoConvergence as exc:
-            raise SpectralError(
-                f"eigensolver did not converge for {op.kind.value}: {exc}"
-            ) from exc
+        vals, vecs = _arpack(eigs, op.matrix, k, tol / 100, seed,
+                             f"eigensolver did not converge for {op.kind.value}")
         method = "iterative"
     idx = np.argsort(-np.abs(vals), kind="stable")[:k]
     vals, vecs = vals[idx], vecs[:, idx]
@@ -364,35 +335,36 @@ def eig_general(
     )
 
 
-def svd_biadjacency(
-    g: Graph,
+def spectrum(
+    op: Operator,
+    k: int,
+    order: str = "largest-absolute",
+    tol: float = DEFAULT_TOL,
+    seed: int = DEFAULT_SEED,
+) -> SpectralResult:
+    """The whole spectrum of a symmetric operator where the dense path runs,
+    else its top k eigenpairs; ``len(values) == op.dim`` tells which."""
+    full = _dense("auto", op.dim, k, op.dim)
+    return eig_symmetric(op, op.dim if full else k, order, tol=tol, seed=seed)
+
+
+def svd(
+    op: Operator,
     k: int,
     strategy: str = "auto",
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ) -> SpectralResult:
-    """Top-k singular triplets of the biadjacency matrix of a bipartite graph."""
-    op = build_operator(g, MatrixKind.BIADJACENCY)
+    """Top-k singular triplets of any operator, square or rectangular."""
     n1, n2 = op.matrix.shape
     if k < 1 or k > min(n1, n2):
         raise GraphError(f"k={k} out of range for shape {op.matrix.shape}")
-    dense = strategy == "dense" or (strategy == "auto" and max(n1, n2) <= DENSE_LIMIT)
-    if not dense and k >= min(n1, n2):
-        dense = True
-    if dense:
+    if _dense(strategy, max(n1, n2), k, min(n1, n2)):
         u, s, vt = np.linalg.svd(op.matrix.toarray(), full_matrices=False)
         method = "dense"
     else:
-        try:
-            u, s, vt = svds(
-                op.matrix.astype(np.float64),
-                k=min(k, min(n1, n2) - 1),
-                v0=_seed_vector(min(n1, n2), seed),
-                maxiter=max(1000, 50 * k),
-                tol=tol / 100,
-            )
-        except ArpackNoConvergence as exc:
-            raise SpectralError(f"SVD did not converge: {exc}") from exc
+        u, s, vt = _arpack(svds, op.matrix.astype(np.float64), k, tol / 100, seed,
+                           "SVD did not converge")
         method = "iterative"
     idx = np.argsort(-s, kind="stable")[:k]
     u, s, v = u[:, idx], s[idx], vt[idx].T
@@ -408,6 +380,33 @@ def svd_biadjacency(
         residuals=res, nodes=op.nodes, method=method,
         right_vectors=v, col_nodes=op.col_nodes,
     )
+
+
+def svd_biadjacency(
+    g: Graph,
+    k: int,
+    strategy: str = "auto",
+    tol: float = DEFAULT_TOL,
+    seed: int = DEFAULT_SEED,
+) -> SpectralResult:
+    """Top-k singular triplets of the biadjacency matrix of a bipartite graph."""
+    return svd(build_operator(g, MatrixKind.BIADJACENCY), k, strategy, tol, seed)
+
+
+def _dense(strategy: str, size: int, k: int, k_max: int) -> bool:
+    """Whether to decompose densely: forced, small enough, or k beyond what
+    ARPACK can deliver (``k_max`` and above)."""
+    return strategy == "dense" or (strategy == "auto" and size <= DENSE_LIMIT) or k >= k_max
+
+
+def _arpack(solver, matrix, k: int, tol: float, seed: int, failure: str):
+    """``solver`` (eigsh, eigs or svds) for the k largest-magnitude pairs,
+    from a seeded start vector and with a bounded iteration count."""
+    try:
+        return solver(matrix, k=k, which="LM", v0=_seed_vector(min(matrix.shape), seed),
+                      maxiter=max(1000, 50 * k), tol=tol)
+    except ArpackNoConvergence as exc:
+        raise SpectralError(f"{failure}: {exc}") from exc
 
 
 def _residuals(op: Operator, vals, vecs) -> np.ndarray:

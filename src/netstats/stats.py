@@ -21,7 +21,6 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from . import spectral
 from .graph import (
@@ -866,26 +865,14 @@ def stat_snorm(ws) -> StatisticValue:
     g = ws.g
     if g.m == 0:
         return _nan("snorm")
+    op = build_operator(g, MatrixKind.ADJACENCY)
     if g.is_directed:
-        a = build_operator(g, MatrixKind.ADJACENCY).matrix
-        value = _operator_norm(a, ws.opts)
+        value = float(spectral.svd(op, 1, tol=ws.opts.tol, seed=ws.opts.seed).values[0])
     else:
-        op = build_operator(g, MatrixKind.ADJACENCY)
         res = eig_symmetric(op, 1, "largest-absolute",
                             tol=ws.opts.tol, seed=ws.opts.seed)
         value = float(abs(res.values[0]))
     return StatisticValue("snorm", value)
-
-
-def _operator_norm(a, opts) -> float:
-    if max(a.shape) <= spectral.DENSE_LIMIT:
-        return float(np.linalg.svd(a.toarray(), compute_uv=False)[0])
-    try:
-        s = svds(a.astype(np.float64), k=1, return_singular_vectors=False,
-                 v0=np.random.default_rng(opts.seed).standard_normal(min(a.shape)))
-    except ArpackNoConvergence as exc:
-        raise spectral.SpectralError(f"SVD did not converge: {exc}") from exc
-    return float(s[0])
 
 
 @statistic("alcon")
@@ -1055,14 +1042,13 @@ def _frustration_spectral_bound(nc, ea, eb, ew, opts) -> tuple[int, np.ndarray]:
         shape=(nc, nc),
     ).tocsr()
     deg = np.asarray(np.abs(mat).sum(axis=1)).ravel()
-    k = sparse.dia_array((deg[np.newaxis, :], [0]), shape=(nc, nc)).tocsr() + mat
-    op = spectral.Operator(MatrixKind.SIGNLESS_LAPLACIAN, sparse.csr_array(k),
+    op = spectral.Operator(MatrixKind.SIGNLESS_LAPLACIAN, spectral._diag(deg) + mat,
                            nodes=np.arange(1, nc + 1))
     try:
         # a loose tolerance is fine: the eigenvector only seeds the rounding
         res = eig_symmetric(op, 1, "smallest", tol=1e-4, seed=opts.seed)
         sides = (res.vectors[:, 0] >= 0).astype(np.int8)
-    except Exception:
+    except GraphError:
         sides = np.zeros(nc, dtype=np.int8)
     sides, cost = _greedy_flip(sides, ea, eb, ew, nc)
     return cost, sides
@@ -1132,15 +1118,15 @@ def stat_nonbipn(ws) -> StatisticValue:
 
 
 def _extreme_eigs(op, opts) -> tuple[float, float]:
-    if op.dim <= spectral.DENSE_LIMIT:
-        vals = np.linalg.eigvalsh(op.matrix.toarray())
-        return float(vals[0]), float(vals[-1])
-    lo = eig_symmetric(op, 1, "smallest", tol=opts.tol, seed=opts.seed).values[0]
+    res = spectral.spectrum(op, 1, "smallest", tol=opts.tol, seed=opts.seed)
+    lo = float(res.values[0])
+    if len(res.values) == op.dim:
+        return lo, float(res.values[-1])
     hi_res = eig_symmetric(op, 1, "largest-absolute", tol=opts.tol, seed=opts.seed)
     hi = float(np.max(hi_res.values))
     if hi <= 0:  # largest-absolute may return the negative extreme
         hi = float(-np.min(hi_res.values))
-    return float(lo), hi
+    return lo, hi
 
 
 # -- serialization -----------------------------------------------------------

@@ -335,6 +335,17 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["stats", "plot"])
+def test_jobs_below_one_is_a_usage_error(dataset, tmp_path, capsys, command, jobs):
+    out = tmp_path / "res"
+    code, stdout, err = run(capsys, command, str(dataset), "--all", "--jobs", jobs,
+                            "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert f"--jobs: must be at least 1, got {jobs}" in err
+    assert not out.exists()
+
+
 def test_transform_lcc_of_event_log(tmp_path, capsys):
     from netstats.io import parse_out
 

@@ -1,6 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from netstats import spectral
 from netstats.graph import Format, IncompatibleGraphError, WeightType
 from netstats.spectral import (
     MatrixKind,
@@ -8,8 +13,11 @@ from netstats.spectral import (
     build_operator,
     eig_general,
     eig_symmetric,
+    spectrum,
+    svd,
     svd_biadjacency,
 )
+from netstats.stats import StatisticValue, compute_all
 
 from gen import graph_from_pairs, random_simple_undirected
 
@@ -237,14 +245,14 @@ def test_values_tsv_roundtrip_shape():
     assert len(vec_lines) == 4
 
 
-def _bend_first_vector(solver, slot):
-    """``solver`` with the first column of its output ``slot`` pushed off its
-    eigen- or singular pair."""
+def _bend_vectors(solver, slot, columns=slice(0, 1)):
+    """``solver`` with the first entry of the ``columns`` of its output
+    ``slot`` moved, pushing those eigen- or singular pairs off."""
 
     def bent(*args, **kwargs):
         out = list(solver(*args, **kwargs))
         out[slot] = out[slot].copy()
-        out[slot][0, 0] += 1e-4
+        out[slot][0, columns] += 1e-4
         return tuple(out)
 
     return bent
@@ -267,7 +275,7 @@ def _dense_cases():
 def test_dense_path_gates_residuals(monkeypatch, lapack, slot):
     solve = _dense_cases()[lapack]
     assert solve().method == "dense"
-    monkeypatch.setattr(np.linalg, lapack, _bend_first_vector(getattr(np.linalg, lapack), slot))
+    monkeypatch.setattr(np.linalg, lapack, _bend_vectors(getattr(np.linalg, lapack), slot))
     with pytest.raises(SpectralError, match="exceed tolerance") as info:
         solve()
     assert np.max(info.value.residuals) > 1e-8
@@ -284,3 +292,72 @@ def test_nan_residual_fails_the_gate(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", nan_vector)
     with pytest.raises(SpectralError):
         eig_symmetric(build_operator(triangle(), MatrixKind.ADJACENCY), k=3)
+
+
+def test_svd_of_a_directed_adjacency_is_its_operator_norm():
+    rng = np.random.default_rng(23)
+    pairs = {(int(a) + 1, int(b) + 1) for a, b in rng.integers(0, 30, size=(90, 2)) if a != b}
+    op = build_operator(graph_from_pairs(sorted(pairs), 30, fmt=Format.DIRECTED),
+                        MatrixKind.ADJACENCY)
+    dense = svd(op, 3)
+    iterative = svd(op, 3, strategy="iterative")
+    assert (dense.method, iterative.method) == ("dense", "iterative")
+    assert dense.values[0] == pytest.approx(np.linalg.norm(op.matrix.toarray(), 2))
+    assert np.allclose(dense.values, iterative.values, rtol=1e-8)
+
+
+def test_spectrum_is_whole_on_the_dense_path_and_top_k_above(monkeypatch):
+    op = build_operator(random_simple_undirected(np.random.default_rng(29), 40, 0.2),
+                        MatrixKind.ADJACENCY)
+    whole = spectrum(op, 5)
+    assert len(whole.values) == op.dim and whole.method == "dense"
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 10)
+    top = spectrum(op, 5)
+    assert len(top.values) == 5 and top.method == "iterative"
+    assert np.allclose(top.values, whole.values[:5], rtol=1e-8)
+
+
+def test_arpack_failure_carries_no_residuals(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("No convergence (11 iterations, 1/2 eigenvectors converged)",
+                                  np.array([3.0]), np.zeros((12, 1)))
+
+    monkeypatch.setattr(spectral, "eigsh", no_convergence)
+    op = build_operator(random_simple_undirected(np.random.default_rng(19), 12, 0.4),
+                        MatrixKind.ADJACENCY)
+    with pytest.raises(SpectralError, match="eigensolver did not converge for adjacency") as info:
+        eig_symmetric(op, 2, strategy="iterative")
+    assert info.value.residuals is None
+
+
+@pytest.mark.parametrize("case", ["undirected", "directed", "signed"])
+def test_every_spectral_statistic_passes_the_gate(monkeypatch, case):
+    rng = np.random.default_rng(31)
+    undirected = random_simple_undirected(rng, 12, 0.4)
+    pairs = list(zip(undirected.src.tolist(), undirected.dst.tolist()))
+    g = {
+        "undirected": undirected,
+        "directed": graph_from_pairs(pairs, 12, fmt=Format.DIRECTED),
+        "signed": graph_from_pairs(pairs, 12, weights=WeightType.SIGNED,
+                                   w=rng.choice([-1.0, 1.0], size=len(pairs))),
+    }[case]
+    names = ["snorm", "conflict" if case == "signed" else "alcon",
+             "anticonflict", "nonbip", "nonbipn"]
+    assert all(isinstance(row, StatisticValue) for _, row in compute_all(g, names=names))
+    # every column: a statistic may select any of the pairs
+    monkeypatch.setattr(np.linalg, "eigh", _bend_vectors(np.linalg.eigh, 1, slice(None)))
+    monkeypatch.setattr(np.linalg, "svd", _bend_vectors(np.linalg.svd, 0, slice(None)))
+    for name, row in compute_all(g, names=names):
+        assert isinstance(row, SpectralError), name
+        assert "exceed tolerance" in str(row), name
+
+
+def test_only_spectral_decomposes_matrices():
+    solver = re.compile(r"linalg\.(eig|svd)|\b(eigsh|eigs|svds)\b|DENSE_LIMIT")
+    package = Path(spectral.__file__).parent
+    offenders = [
+        f"{path.name}:{i}: {line.strip()}"
+        for path in sorted(package.glob("*.py")) if path.name != "spectral.py"
+        for i, line in enumerate(path.read_text().splitlines(), 1) if solver.search(line)
+    ]
+    assert offenders == []

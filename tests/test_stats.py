@@ -7,6 +7,7 @@ import pytest
 
 from netstats import stats
 from netstats.graph import Format, Graph, IncompatibleGraphError, WeightType
+from netstats.spectral import SpectralError
 from netstats.stats import (
     Options,
     compute,
@@ -634,7 +635,7 @@ def test_snorm_svds_failure_is_a_spectral_error(monkeypatch):
                                   np.zeros(0), np.zeros((0, 0)))
 
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)  # the svds path
-    monkeypatch.setattr(stats, "svds", no_convergence)
+    monkeypatch.setattr(spectral, "svds", no_convergence)
     g = graph_from_pairs([(1, 2), (2, 3), (3, 1)], 3, fmt=Format.DIRECTED)
     with pytest.raises(spectral.SpectralError, match="SVD did not converge"):
         compute(g, "snorm")
@@ -701,6 +702,22 @@ def test_frustration_does_not_depend_on_the_clock(monkeypatch):
     monkeypatch.setattr(stats, "_BB_EXPANSIONS", 10)
     cut = compute(g, "frustration")
     assert cut.method == "estimated" and cut.value >= exact.value
+
+
+def test_frustration_seed_solve_catches_solver_failures_only(monkeypatch):
+    # a 30-node frustrated component: its search is seeded by a spectral solve
+    g = random_simple_undirected(np.random.default_rng(3), 30, 0.2)
+
+    def raising(exc):
+        def solve(*args, **kwargs):
+            raise exc
+        return solve
+
+    monkeypatch.setattr(stats, "eig_symmetric", raising(SpectralError("no convergence")))
+    assert compute(g, "frustration").value > 0  # searched from an unseeded bipartition
+    monkeypatch.setattr(stats, "eig_symmetric", raising(TypeError("a programming error")))
+    with pytest.raises(TypeError, match="a programming error"):
+        compute(g, "frustration")
 
 
 def _path(n, first=1):
