@@ -401,11 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("dataset", help="an out.* file or a directory of datasets")
         p.add_argument("--out", default=None, help="output directory (default $NETSTAT_OUT)")
-        p.add_argument("--exact-threshold", type=int, default=20000)
-        p.add_argument("--sample-sources", type=int, default=1000)
-        p.add_argument("--tol", type=float, default=1e-8)
+        defaults = _stats.DEFAULT_OPTIONS
+        p.add_argument("--exact-threshold", type=int, default=defaults.exact_threshold)
+        p.add_argument("--sample-sources", type=int, default=defaults.sample_sources)
+        p.add_argument("--tol", type=float, default=defaults.tol)
         p.add_argument("--k", type=int, default=SPECTRUM_K)
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--seed", type=int, default=defaults.seed)
         p.add_argument("--jobs", type=int, default=_usable_cores(),
                        help="worker processes, at most the usable cores (default: usable cores)")
 
@@ -439,8 +440,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "jobs", 1) < 1:  # validate and transform have no --jobs
-            parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+        for option in ("jobs", "k", "sample_sources"):  # not on validate or transform
+            value = getattr(args, option, 1)
+            if value < 1:
+                flag = "--" + option.replace("_", "-")
+                parser.error(f"argument {flag}: must be at least 1, got {value}")
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

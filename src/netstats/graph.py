@@ -10,13 +10,21 @@ Undirected edges are stored once; every operation treats ``{u, v}``
 symmetrically.  Loops contribute 2 to the degree (and node weight) of their
 endpoint, which keeps the handshake identity ``sum(d) == 2m``.
 
-Every statistic or transform over the set of distinct node pairs reads one
-:class:`PairIndex` (``Graph.pairs``).  A pair is keyed by combined ids as
-``a * (n + 1) + b``, where ``(a, b)`` is ``(u, v)`` for directed graphs and
-``(min(u, v), max(u, v))`` otherwise; a bipartite pair is always
+Every statistic, matrix or transform over the set of distinct node pairs
+reads one :class:`PairIndex` (``Graph.pairs``).  A pair is keyed by combined
+ids as ``a * (n + 1) + b``, where ``(a, b)`` is ``(u, v)`` for directed
+graphs and ``(min(u, v), max(u, v))`` otherwise; a bipartite pair is always
 ``(left, right)``.  Loops are pairs like any other.  The largest key,
 ``(n + 1)**2 - 1``, must fit in int64, so a graph has at most
-:data:`MAX_NODES` nodes.
+:data:`MAX_NODES` nodes.  ``Graph.adjacency`` sums each pair's records in
+input order, and an unordered pair fills both of its entries with that one
+sum, so the adjacency of an undirected or bipartite graph is exactly
+symmetric.
+
+Every transform is a selection (:meth:`Graph.select`): the records it keeps,
+in order, with some fields replaced.  ``node_origin`` is kept unless the
+transform renumbers the nodes, so a transform of a largest component still
+maps its nodes back.
 """
 
 from __future__ import annotations
@@ -333,8 +341,9 @@ class Graph:
 
     __hash__ = object.__hash__
 
-    def select(self, rows, **fields) -> "Graph":
-        """The graph on the records ``rows`` picks; ``fields`` replace attributes."""
+    def select(self, rows=slice(None), **fields) -> "Graph":
+        """The graph on the records ``rows`` picks (all by default); ``fields``
+        replace attributes, and ``node_origin`` is kept unless replaced."""
         cols = {k: getattr(self, k) for k in ("src", "dst", "weight", "timestamp")}
         picked = {k: None if c is None else c[rows] for k, c in cols.items()}
         return dataclasses.replace(self, **{**picked, **fields})
@@ -427,24 +436,22 @@ class Graph:
     def adjacency(self) -> sparse.csr_array:
         """Pair-weight adjacency over the combined node space (n x n).
 
-        Symmetric for undirected and bipartite graphs, asymmetric for
-        directed ones.  Parallel edges aggregate per the weight type;
-        dynamic graphs use their latest state.
+        Entry ``(a, b)`` sums the effective weights of the pair's records, in
+        input order; an unordered pair fills both of its entries with the one
+        sum, so the matrix is exactly symmetric for undirected and bipartite
+        graphs.  Dynamic graphs use their latest state.
         """
         if self.weights is WeightType.DYNAMIC:
             return self.static.adjacency
-        u, v = self.endpoints()
-        w = self.effective_weights
-        if self.weights in (WeightType.UNWEIGHTED, WeightType.POSITIVE):
-            w = self.multiplicities.astype(np.float64)
-        rows, cols, vals = u - 1, v - 1, w
-        if not self.is_directed:
-            off = rows != cols
-            rows = np.concatenate([rows, cols[off]])
-            cols = np.concatenate([cols, (u - 1)[off]])
-            vals = np.concatenate([vals, w[off]])
-        mat = sparse.coo_array((vals, (rows, cols)), shape=(self.n, self.n))
-        return mat.tocsr()
+        pairs = self.pairs
+        a, b = pairs.endpoints()
+        w = np.bincount(pairs.pair_of, weights=self.effective_weights, minlength=len(a))
+        if not self.is_directed:  # mirror every pair but a loop
+            off = a != b
+            a, b, w = (np.concatenate([a, b[off]]), np.concatenate([b, a[off]]),
+                       np.concatenate([w, w[off]]))
+        # each entry is set once, so the conversion sums nothing
+        return sparse.coo_array((w, (a - 1, b - 1)), shape=(self.n, self.n)).tocsr()
 
     @cached_property
     def pairs(self) -> PairIndex:
@@ -498,20 +505,9 @@ def strip_weights(g: Graph) -> Graph:
     if g.weights in (WeightType.UNWEIGHTED, WeightType.POSITIVE):
         return g
     kind = WeightType.POSITIVE if g.weights.allows_multi else WeightType.UNWEIGHTED
-    weight = None
-    if g.timestamp is not None:
-        weight = np.ones(len(g.src))  # timestamps require the weight column
-    return Graph(
-        fmt=g.fmt,
-        weights=kind,
-        n1=g.n1,
-        n2=g.n2,
-        src=g.src,
-        dst=g.dst,
-        weight=weight,
-        timestamp=g.timestamp,
-        tags=g.tags,
-    )
+    # timestamps require the weight column
+    weight = None if g.timestamp is None else np.ones(len(g.src))
+    return g.select(weights=kind, weight=weight)
 
 
 def dedupe(g: Graph) -> Graph:
@@ -534,51 +530,23 @@ def absolute(g: Graph) -> Graph:
     kind = (
         WeightType.MULTIPOSWEIGHTED if g.weights.allows_multi else WeightType.POSWEIGHTED
     )
-    tags = g.tags
-    if np.any(w == 0):
-        tags = tags | {"#zeroweight"}
-    return Graph(
-        fmt=g.fmt,
-        weights=kind,
-        n1=g.n1,
-        n2=g.n2,
-        src=g.src,
-        dst=g.dst,
-        weight=w,
-        timestamp=g.timestamp,
-        tags=tags,
-    )
+    tags = (g.tags | {"#zeroweight"}) if np.any(w == 0) else g.tags
+    return g.select(weights=kind, weight=w, tags=tags)
 
 
 def negate(g: Graph) -> Graph:
     """The negative graph -G: every effective weight negated.
 
-    Unweighted and positively weighted inputs become signed.
+    Unweighted and positively weighted inputs become signed; their
+    aggregated lines are expanded into parallel edges.
     """
     if g.weights is WeightType.DYNAMIC:
         raise IncompatibleGraphError("dynamic event logs cannot be negated")
-    src, dst, ts = g.src, g.dst, g.timestamp
-    if g.weights in (WeightType.UNWEIGHTED, WeightType.POSITIVE):
-        mult = g.multiplicities
-        if np.any(mult > 1):  # expand aggregated lines into parallel edges
-            src = np.repeat(src, mult)
-            dst = np.repeat(dst, mult)
-            ts = np.repeat(ts, mult) if ts is not None else None
-        w = -np.ones(len(src))
-    else:
-        w = -g.effective_weights
     kind = WeightType.MULTISIGNED if g.weights.allows_multi else WeightType.SIGNED
-    return Graph(
-        fmt=g.fmt,
-        weights=kind,
-        n1=g.n1,
-        n2=g.n2,
-        src=src,
-        dst=dst,
-        weight=w,
-        timestamp=ts,
-        tags=g.tags,
-    )
+    if g.weights in (WeightType.UNWEIGHTED, WeightType.POSITIVE):
+        rows = np.repeat(np.arange(len(g.src)), g.multiplicities)
+        return g.select(rows, weights=kind, weight=-np.ones(len(rows)))
+    return g.select(weights=kind, weight=-g.effective_weights)
 
 
 def latest_state(g: Graph) -> Graph:

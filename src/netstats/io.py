@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import MAX_NODES, Format, Graph, KNOWN_TAGS, WeightType
+from .graph import MAX_NODES, Format, Graph, GraphError, KNOWN_TAGS, WeightType
 
 CATEGORIES = frozenset(
     {
@@ -222,24 +222,15 @@ def _parse_body(body: str, header: Header, tags: frozenset[str]) -> Graph | None
         return None  # timestamps on some lines only
     if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(timestamp))):
         return None
-    if m:
-        fmt = header.fmt
-        limit2 = header.declared_n2 if fmt is Format.BIPARTITE else header.declared_n1
-        if (min(src.min(), dst.min()) < 1
-                or (header.declared_n1 is not None and src.max() > header.declared_n1)
-                or (limit2 is not None and dst.max() > limit2)):
-            return None
-        loops_ok = "#loop" in tags and fmt is not Format.BIPARTITE
-        if fmt is not Format.BIPARTITE and not loops_ok and np.any(src == dst):
-            return None
-        if _node_count(header, int(src.max()), int(dst.max())) > MAX_NODES:
-            return None
     given = counts > 2
     temporal = bool(np.any(has_t))
     if not _weights_pass(header.weights, weight, given, temporal, "#zeroweight" in tags):
         return None
-    graph = _graph(header, tags, src, dst, weight if np.any(given) else None,
-                   timestamp if temporal else None)
+    try:  # Graph's own checks: ids, loops, node count
+        graph = _graph(header, tags, src, dst, weight if np.any(given) else None,
+                       timestamp if temporal else None)
+    except GraphError:
+        return None
     # identical pairs get identical keys; a wrapped key may only add a
     # false duplicate, which the line loop then clears
     if not header.weights.allows_multi and len(graph.pairs.keys) < m:

@@ -48,8 +48,8 @@ class Options:
 
     exact_threshold: int = 20000  # all-pairs BFS above this many nodes is sampled
     sample_sources: int = 1000
-    tol: float = 1e-8
-    seed: int = 42
+    tol: float = spectral.DEFAULT_TOL
+    seed: int = spectral.DEFAULT_SEED
 
 
 DEFAULT_OPTIONS = Options()
@@ -186,12 +186,7 @@ def _as_undirected(g: Graph) -> Graph:
         WeightType.SIGNED: WeightType.MULTISIGNED,
         WeightType.WEIGHTED: WeightType.MULTIWEIGHTED,
     }
-    return Graph(
-        fmt=Format.UNDIRECTED,
-        weights=remap.get(g.weights, g.weights),
-        n1=g.n1, n2=g.n2, src=g.src, dst=g.dst,
-        weight=g.weight, timestamp=g.timestamp, tags=g.tags,
-    )
+    return g.select(fmt=Format.UNDIRECTED, weights=remap.get(g.weights, g.weights))
 
 
 def _drop_loops(g: Graph) -> Graph:
@@ -317,9 +312,8 @@ def stat_cocos(ws) -> StatisticValue:
     g = ws.g
     if not g.is_directed:
         raise IncompatibleGraphError("strong components require a directed graph")
-    adj = sparse.coo_array(
-        (np.ones(len(g.src)), (g.src - 1, g.dst - 1)), shape=(g.n, g.n)
-    ).tocsr()
+    a, b = g.pairs.endpoints()
+    adj = sparse.csr_array((np.ones(len(a)), (a - 1, b - 1)), shape=(g.n, g.n))
     _, labels = connected_components(adj, directed=True, connection="strong")
     return StatisticValue("cocos", int(np.bincount(labels).max()))
 

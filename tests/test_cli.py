@@ -335,14 +335,21 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("option, value", [
+    pytest.param("--jobs", "0", id="0"),
+    pytest.param("--jobs", "-3", id="-3"),
+    pytest.param("--k", "0", id="k-0"),
+    pytest.param("--k", "-3", id="k--3"),
+    pytest.param("--sample-sources", "0", id="sample-sources-0"),
+    pytest.param("--sample-sources", "-2", id="sample-sources--2"),
+])
 @pytest.mark.parametrize("command", ["stats", "plot"])
-def test_jobs_below_one_is_a_usage_error(dataset, tmp_path, capsys, command, jobs):
+def test_jobs_below_one_is_a_usage_error(dataset, tmp_path, capsys, command, option, value):
     out = tmp_path / "res"
-    code, stdout, err = run(capsys, command, str(dataset), "--all", "--jobs", jobs,
+    code, stdout, err = run(capsys, command, str(dataset), "--all", option, value,
                             "--out", str(out))
     assert (code, stdout) == (1, "")
-    assert f"--jobs: must be at least 1, got {jobs}" in err
+    assert f"{option}: must be at least 1, got {value}" in err
     assert not out.exists()
 
 

@@ -105,6 +105,16 @@ def test_pair_weight_symmetric_undirected(rng=np.random.default_rng(3)):
     g = random_graph(rng, Format.UNDIRECTED, WeightType.MULTISIGNED)
     for u, v in zip(g.src[:10], g.dst[:10]):
         assert g.pair_weight(int(u), int(v)) == g.pair_weight(int(v), int(u))
+    # bit for bit, also where parallel edges carry non-integer weights
+    for fmt, weights in ALL_COMBOS:
+        if fmt is Format.DIRECTED:
+            continue
+        for seed in range(50):
+            g = random_graph(np.random.default_rng(seed), fmt, weights)
+            if weights.is_rating and not len(g.src):
+                continue  # a rating graph without records has no weights to centre
+            a = g.adjacency
+            assert np.array_equal(a.toarray(), a.T.toarray()), (fmt, weights, seed)
 
 
 def test_strip_weights():
@@ -240,6 +250,72 @@ def test_transforms_preserve_node_counts(rng=np.random.default_rng(19)):
     g = random_graph(rng, Format.UNDIRECTED, WeightType.MULTISIGNED)
     for out in (strip_weights(g), dedupe(g), absolute(g), negate(g)):
         assert (out.n1, out.n2) == (g.n1, g.n2)
+
+
+def _fields(g, **changes):
+    """A graph built field by field, as the transforms once built theirs."""
+    fields = dict(fmt=g.fmt, weights=g.weights, n1=g.n1, n2=g.n2, src=g.src, dst=g.dst,
+                  weight=g.weight, timestamp=g.timestamp, tags=g.tags)
+    return Graph(**{**fields, **changes})
+
+
+def _old_strip_weights(g):
+    g = g.static
+    if g.weights in (WeightType.UNWEIGHTED, WeightType.POSITIVE):
+        return g
+    kind = WeightType.POSITIVE if g.weights.allows_multi else WeightType.UNWEIGHTED
+    weight = np.ones(len(g.src)) if g.timestamp is not None else None
+    return _fields(g, weights=kind, weight=weight)
+
+
+def _old_absolute(g):
+    w = np.abs(g.effective_weights)
+    kind = WeightType.MULTIPOSWEIGHTED if g.weights.allows_multi else WeightType.POSWEIGHTED
+    tags = (g.tags | {"#zeroweight"}) if np.any(w == 0) else g.tags
+    return _fields(g, weights=kind, weight=w, tags=tags)
+
+
+def _old_negate(g):
+    src, dst, ts = g.src, g.dst, g.timestamp
+    if g.weights in (WeightType.UNWEIGHTED, WeightType.POSITIVE):
+        mult = g.multiplicities
+        src, dst = np.repeat(src, mult), np.repeat(dst, mult)
+        ts = None if ts is None else np.repeat(ts, mult)
+        w = -np.ones(len(src))
+    else:
+        w = -g.effective_weights
+    kind = WeightType.MULTISIGNED if g.weights.allows_multi else WeightType.SIGNED
+    return _fields(g, weights=kind, src=src, dst=dst, weight=w, timestamp=ts)
+
+
+def _old_as_undirected(g):
+    if not g.is_directed:
+        return g
+    remap = {WeightType.UNWEIGHTED: WeightType.POSITIVE,
+             WeightType.POSWEIGHTED: WeightType.MULTIPOSWEIGHTED,
+             WeightType.SIGNED: WeightType.MULTISIGNED,
+             WeightType.WEIGHTED: WeightType.MULTIWEIGHTED}
+    return _fields(g, fmt=Format.UNDIRECTED, weights=remap.get(g.weights, g.weights))
+
+
+@pytest.mark.parametrize("fmt, weights", ALL_COMBOS)
+def test_transforms_of_an_lcc_keep_node_origin(fmt, weights):
+    from netstats.stats import _as_undirected
+
+    for seed in range(8):
+        g = random_graph(np.random.default_rng(seed), fmt, weights, n_max=12, m_max=20)
+        if not len(g.src) or g.static.n == 0:
+            continue
+        lcc = largest_connected_component(g)
+        transforms = [(strip_weights, _old_strip_weights), (_as_undirected, _old_as_undirected)]
+        if weights.allows_negative:
+            transforms.append((absolute, _old_absolute))
+        if weights is not WeightType.DYNAMIC:
+            transforms.append((negate, _old_negate))
+        for new, old in transforms:
+            out = new(lcc)
+            assert out == old(lcc), (new.__name__, seed)
+            assert np.array_equal(out.node_origin, lcc.node_origin), (new.__name__, seed)
 
 
 def test_lcc_of_event_log_drops_events_leaving_the_component():

@@ -85,6 +85,20 @@ def test_pair_index_consumers_match_brute_force(g):
             (int(g.src[i]), int(g.dst[i])) for i in firsts]
         assert records(dedupe(g)) == expected
 
+    if not (s.weights.is_rating and not len(s.src)):  # no weights to centre
+        sums = {}
+        for (u, v), w in zip(combined(s), s.effective_weights.tolist()):
+            key = pair_key(s, u, v)
+            sums[key] = sums.get(key, 0.0) + w  # in input order
+        want = np.zeros((s.n, s.n))
+        for (a, b), w in sums.items():
+            want[a - 1, b - 1] = w
+            if not s.is_directed:
+                want[b - 1, a - 1] = w
+        entries = sum(1 if s.is_directed or a == b else 2 for a, b in sums)
+        assert g.adjacency.nnz == entries
+        assert np.array_equal(g.adjacency.toarray(), want)
+
     assert compute(g, "uniquevolume").value == len(pairs)
     loops = s.allows_loops or any(u == v for u, v in combined(s) if not s.is_bipartite)
     n = s.n
