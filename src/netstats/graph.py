@@ -24,7 +24,11 @@ symmetric.
 Every transform is a selection (:meth:`Graph.select`): the records it keeps,
 in order, with some fields replaced.  ``node_origin`` is kept unless the
 transform renumbers the nodes, so a transform of a largest component still
-maps its nodes back.
+maps its nodes back.  Two of them are the views that the statistics ignoring
+orientation or working per component read: :func:`undirected` forgets edge
+orientations (``Graph.pattern`` comes from its pair index), and
+:func:`component` cuts out one weakly connected component and renumbers its
+nodes (the largest component is the one with the most nodes).
 """
 
 from __future__ import annotations
@@ -187,12 +191,6 @@ class PairIndex:
         """Combined 1-based ids ``(a, b)`` of each pair."""
         return np.divmod(self.keys, self.base)
 
-    def fold(self) -> "PairIndex":
-        """The index of unordered pairs, whose ``pair_of`` maps this index's pairs."""
-        a, b = self.endpoints()
-        return PairIndex.build(np.minimum(a, b) * self.base + np.maximum(a, b),
-                               self.base, self.sums)
-
     def reciprocated(self) -> np.ndarray:
         """Per pair: whether the reversed pair ``(b, a)`` is present; loops are."""
         a, b = self.endpoints()
@@ -221,7 +219,7 @@ class Graph:
     weight: np.ndarray | None = None
     timestamp: np.ndarray | None = None
     tags: frozenset[str] = frozenset()
-    node_origin: np.ndarray | None = None  # set by largest_connected_component
+    node_origin: np.ndarray | None = None  # set by component
 
     def __post_init__(self):
         object.__setattr__(self, "src", _frozen(self.src, np.int64))
@@ -363,11 +361,11 @@ class Graph:
     def effective_weights(self) -> np.ndarray:
         """w(e) per record: 1 (times aggregation) for unweighted classes,
         the stored weight for weighted classes, r - mu for ratings."""
+        if self.weight is None or not self.weights.has_weight_column:
+            return _frozen(self.multiplicities, np.float64)
         if self.weights.is_rating:
             return _frozen(self.weight - self.rating_mean, np.float64)
-        if self.weights.has_weight_column and self.weight is not None:
-            return self.weight
-        return _frozen(self.multiplicities, np.float64)
+        return self.weight
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -462,16 +460,12 @@ class Graph:
         base = self.n + 1
         return PairIndex.build(u * base + v, base, self.multiplicities)
 
-    def unordered_pairs(self) -> PairIndex:
-        """The pair index with edge orientations folded away."""
-        return self.pairs.fold() if self.is_directed else self.pairs
-
     @cached_property
     def pattern(self) -> sparse.csr_array:
         """0/1 symmetric adjacency of the underlying simple loopless graph."""
         if self.weights is WeightType.DYNAMIC:
             return self.static.pattern
-        a, b = self.unordered_pairs().endpoints()
+        a, b = undirected(self).pairs.endpoints()
         keep = a != b
         a, b = a[keep] - 1, b[keep] - 1
         if len(a) == 0:
@@ -568,18 +562,29 @@ def latest_state(g: Graph) -> Graph:
     return g.select(added, weights=WeightType.UNWEIGHTED, weight=None, timestamp=None)
 
 
-def largest_connected_component(g: Graph) -> Graph:
-    """Induced subgraph on the largest weakly connected component.
+def undirected(g: Graph) -> Graph:
+    """Forget edge orientations; reciprocal edge pairs become parallel edges."""
+    if not g.is_directed:
+        return g
+    remap = {
+        WeightType.UNWEIGHTED: WeightType.POSITIVE,
+        WeightType.POSWEIGHTED: WeightType.MULTIPOSWEIGHTED,
+        WeightType.SIGNED: WeightType.MULTISIGNED,
+        WeightType.WEIGHTED: WeightType.MULTIWEIGHTED,
+    }
+    return g.select(fmt=Format.UNDIRECTED, weights=remap.get(g.weights, g.weights))
 
-    Node ids are re-consecutivized; the returned graph's ``node_origin``
-    maps new combined ids (index + 1) back to the old combined ids.
+
+def component(g: Graph, label: int) -> Graph:
+    """Induced subgraph on the weakly connected component ``label`` of
+    ``g.component_labels``.
+
+    Node ids are re-consecutivized in their old order (a bipartite graph
+    numbers each side on its own); the returned graph's ``node_origin`` maps
+    new combined ids (index + 1) back to the old combined ids.
     """
-    if g.n == 0:
-        raise GraphError("empty graph has no connected component")
     labels = g.component_labels
-    sizes = np.bincount(labels)
-    best = int(sizes.argmax())  # ties resolve to the smallest label
-    nodes = np.flatnonzero(labels == best)  # ascending: left block, then right
+    nodes = np.flatnonzero(labels == label)  # ascending: left block, then right
     mapping = np.full(g.n, -1, dtype=np.int64)
     if g.is_bipartite:
         left = nodes[nodes < g.n1]
@@ -596,3 +601,10 @@ def largest_connected_component(g: Graph) -> Graph:
     keep = (mapping[u - 1] >= 0) & (mapping[v - 1] >= 0)
     return g.select(keep, n1=n1, n2=n2, src=mapping[u[keep] - 1] + 1,
                     dst=mapping[v[keep] - 1] + 1, node_origin=nodes + 1)
+
+
+def largest_connected_component(g: Graph) -> Graph:
+    """The :func:`component` with the most nodes; ties go to the smallest label."""
+    if g.n == 0:
+        raise GraphError("empty graph has no connected component")
+    return component(g, int(np.bincount(g.component_labels).argmax()))

@@ -269,7 +269,8 @@ def _spectrum_cumulative(op, values, exact, matrix) -> PlotSeries:
     if hi == lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, SPECTRUM_BINS + 1)
-    counts, _ = np.histogram(values, bins=edges)
+    # a value that rounds just outside [lo, hi] still belongs to an end bin
+    counts, _ = np.histogram(np.clip(values, lo, hi), bins=edges)
     cum = np.cumsum(counts)
     right = edges[1:]
     if unresolved:

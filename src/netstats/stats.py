@@ -24,13 +24,13 @@ from scipy.sparse.csgraph import connected_components
 
 from . import spectral
 from .graph import (
-    Format,
     Graph,
     GraphError,
     IncompatibleGraphError,
-    WeightType,
+    component,
     largest_connected_component,
     strip_weights,
+    undirected,
 )
 # unused here; perfbench/trace_run.py wraps this name in every module it times
 from .graph import latest_state  # noqa: F401
@@ -142,7 +142,7 @@ class Workspace:
     @cached_property
     def sym_lcc(self) -> Graph:
         """Largest component with edge orientations folded away."""
-        return _as_undirected(self.lcc)
+        return undirected(self.lcc)
 
     @cached_property
     def hops(self) -> "HopData":
@@ -173,20 +173,11 @@ class Workspace:
     @cached_property
     def signed_triple_trace(self) -> float:
         """Trace of S^3 for the sign matrix S of the simple loopless graph."""
-        return _signed_triple_trace(_signed_simple_adjacency(_as_undirected(self.g)))
-
-
-def _as_undirected(g: Graph) -> Graph:
-    """Forget edge orientations; reciprocal edge pairs become parallel edges."""
-    if not g.is_directed:
-        return g
-    remap = {
-        WeightType.UNWEIGHTED: WeightType.POSITIVE,
-        WeightType.POSWEIGHTED: WeightType.MULTIPOSWEIGHTED,
-        WeightType.SIGNED: WeightType.MULTISIGNED,
-        WeightType.WEIGHTED: WeightType.MULTIWEIGHTED,
-    }
-    return g.select(fmt=Format.UNDIRECTED, weights=remap.get(g.weights, g.weights))
+        # loops go after the signs are taken: a rating network's weights are
+        # centred on the mean of all its records, loops included
+        signs = undirected(self.g).adjacency.sign()
+        signs.setdiag(0)
+        return _signed_triple_trace(signs)
 
 
 def _drop_loops(g: Graph) -> Graph:
@@ -571,15 +562,6 @@ def local_clustering(g: Graph, u: int) -> float:
     return links / (d * (d - 1) / 2)
 
 
-def _signed_simple_adjacency(g: Graph):
-    """Sign of the aggregated pair weight on the simple loopless structure."""
-    signs = sparse.csr_array(g.adjacency, copy=True)
-    signs.setdiag(0)
-    signs.eliminate_zeros()
-    signs.data = np.sign(signs.data)
-    return signs
-
-
 @statistic("clusco_signed")
 def stat_clusco_signed(ws) -> StatisticValue:
     g = ws.g
@@ -624,7 +606,6 @@ def _signed_triple_trace(signs) -> float:
 class HopData:
     counts: np.ndarray  # ordered-pair count per hop (scaled estimate when sampled)
     eccentricities: np.ndarray  # per sampled source
-    n: int
     sources: int
     exact: bool
 
@@ -638,8 +619,7 @@ def _hop_data(pattern, opts: Options) -> HopData:
     counts, eccs = _bfs_counts(pattern, sources)
     if not exact:
         counts = counts * (n / len(sources))
-    return HopData(counts=counts, eccentricities=eccs, n=n,
-                   sources=len(sources), exact=exact)
+    return HopData(counts=counts, eccentricities=eccs, sources=len(sources), exact=exact)
 
 
 def _bfs_sources(n: int, opts: Options) -> np.ndarray:
@@ -843,11 +823,8 @@ def _interpolate_quantile(counts: np.ndarray, q: float) -> float:
 def eccentricity(g: Graph, u: int) -> int:
     """Maximal hop distance from u to any node reachable from it."""
     ws = Workspace(g)
-    i = ws.g._check_node(u)
-    labels = ws.g.component_labels
-    component = np.flatnonzero(labels == labels[i])
-    sub = ws.pattern[component][:, component]
-    _, eccs = _bfs_counts(sub, np.searchsorted(component, [i]))
+    comp = component(ws.g, ws.g.component_labels[ws.g._check_node(u)])
+    _, eccs = _bfs_counts(comp.pattern, np.searchsorted(comp.node_origin, [u]))
     return int(eccs[0])
 
 
@@ -904,7 +881,9 @@ def _laplacian_smallest(g: Graph, k: int, opts: Options) -> np.ndarray:
 
 @statistic("frustration")
 def stat_frustration(ws) -> StatisticValue:
-    base = _drop_loops(strip_weights(ws.g))
+    # orientations are folded after the weights are stripped: stripping an
+    # event log replays it per ordered pair
+    base = _drop_loops(undirected(strip_weights(ws.g)))
     if base.m == 0:
         return StatisticValue("frustration", 0.0, FULL)
     f, exact = _min_frustrated_edges(base, ws.opts)
@@ -916,50 +895,32 @@ def stat_frustration(ws) -> StatisticValue:
 
 
 def _min_frustrated_edges(g: Graph, opts: Options) -> tuple[int, bool]:
-    """Minimum same-side edge weight over all bipartitions, per component."""
-    pairs = g.unordered_pairs()
-    a, b = pairs.endpoints()
-    labels = g.component_labels
+    """Minimum same-side edge weight over all bipartitions, per component,
+    of a loopless undirected graph."""
+    total, all_exact = 0, True
     # a 2-colourable component needs no frustrated edge: search only the others
-    odd = ~_two_colourable(g.n, a - 1, b - 1, labels)[labels[a - 1]]
-    a, b, w = a[odd], b[odd], pairs.sums[odd]
-    if len(a) == 0:
-        return 0, True
-    sizes = np.bincount(labels)
-    # node index within its component: nodes keep their id order there
-    nodes = np.argsort(labels, kind="stable")
-    local = np.empty(g.n, dtype=np.int64)
-    local[nodes] = np.arange(g.n) - (np.cumsum(sizes) - sizes)[labels[nodes]]
-    # pairs grouped by component, each group in pair-key order
-    comp = labels[a - 1]
-    by_comp = np.argsort(comp, kind="stable")
-    comp = comp[by_comp]
-    cuts = np.flatnonzero(np.diff(comp)) + 1
-    groups = zip(comp[np.concatenate([[0], cuts])],
-                 np.split(local[a - 1][by_comp], cuts),
-                 np.split(local[b - 1][by_comp], cuts),
-                 np.split(w[by_comp], cuts))
-    total = 0
-    all_exact = True
-    for c, ea, eb, ew in groups:
-        nc = int(sizes[c])
-        if nc <= 20:
-            total += _frustration_exact(nc, ea, eb, ew)
+    for c in np.flatnonzero(~_two_colourable(g)):
+        comp = component(g, c)
+        ea, eb = (x - 1 for x in comp.pairs.endpoints())
+        if comp.n <= 20:
+            total += _frustration_exact(comp.n, ea, eb, comp.pairs.sums)
         else:
-            f, exact = _frustration_search(nc, ea, eb, ew, opts)
+            f, exact = _frustration_search(comp, ea, eb, comp.pairs.sums, opts)
             total += f
             all_exact = all_exact and exact
     return total, all_exact
 
 
-def _two_colourable(n, a, b, labels) -> np.ndarray:
-    """Per component: whether it is bipartite, for 0-based edge endpoints.
+def _two_colourable(g: Graph) -> np.ndarray:
+    """Per component label of an undirected graph: whether it is bipartite.
 
     In the bipartite double cover, node (v, s) is v + s * n and each edge
-    {a, b} joins (a, 0) to (b, 1) and (a, 1) to (b, 0).  A component is
-    2-colourable exactly when it has no odd cycle, that is, when no path
-    of the cover leads from (v, 0) to (v, 1).
+    {a, b} joins (a, 0) to (b, 1) and (a, 1) to (b, 0), for 0-based ids.  A
+    component is 2-colourable exactly when it has no odd cycle, that is,
+    when no path of the cover leads from (v, 0) to (v, 1).
     """
+    n, labels = g.n, g.component_labels
+    a, b = (x - 1 for x in g.pairs.endpoints())
     cover = sparse.coo_array(
         (np.ones(2 * len(a), dtype=np.int8),
          (np.concatenate([a, a + n]), np.concatenate([b + n, b]))),
@@ -994,9 +955,10 @@ _BB_NODE_CAP = 40  # beyond this the exact search space is hopeless anyway
 _BB_EXPANSIONS = 500_000
 
 
-def _frustration_search(nc, ea, eb, ew, opts) -> tuple[int, bool]:
+def _frustration_search(comp: Graph, ea, eb, ew, opts) -> tuple[int, bool]:
     """Branch and bound over a fixed number of expansions; seeded by a spectral bound."""
-    upper, _ = _frustration_spectral_bound(nc, ea, eb, ew, opts)
+    nc = comp.n
+    upper = _frustration_spectral_bound(comp, ea, eb, ew, opts)
     if upper == 0:
         return 0, True  # a zero upper bound is optimal
     if nc > _BB_NODE_CAP:
@@ -1029,23 +991,17 @@ def _frustration_search(nc, ea, eb, ew, opts) -> tuple[int, bool]:
     return best, expansions <= _BB_EXPANSIONS
 
 
-def _frustration_spectral_bound(nc, ea, eb, ew, opts) -> tuple[int, np.ndarray]:
-    mat = sparse.coo_array(
-        (np.concatenate([ew, ew]).astype(np.float64),
-         (np.concatenate([ea, eb]), np.concatenate([eb, ea]))),
-        shape=(nc, nc),
-    ).tocsr()
-    deg = np.asarray(np.abs(mat).sum(axis=1)).ravel()
-    op = spectral.Operator(MatrixKind.SIGNLESS_LAPLACIAN, spectral._diag(deg) + mat,
-                           nodes=np.arange(1, nc + 1))
+def _frustration_spectral_bound(comp: Graph, ea, eb, ew, opts) -> int:
+    """Cost of the signless Laplacian's rounded eigenvector, improved greedily."""
+    nc = comp.n
+    op = build_operator(comp, MatrixKind.SIGNLESS_LAPLACIAN)
     try:
         # a loose tolerance is fine: the eigenvector only seeds the rounding
         res = eig_symmetric(op, 1, "smallest", tol=1e-4, seed=opts.seed)
         sides = (res.vectors[:, 0] >= 0).astype(np.int8)
     except GraphError:
         sides = np.zeros(nc, dtype=np.int8)
-    sides, cost = _greedy_flip(sides, ea, eb, ew, nc)
-    return cost, sides
+    return _greedy_flip(sides, ea, eb, ew, nc)[1]
 
 
 def _bipartition_cost(sides, ea, eb, ew) -> int:

@@ -9,11 +9,13 @@ from netstats.graph import (
     InvalidNodeError,
     WeightType,
     absolute,
+    component,
     dedupe,
     largest_connected_component,
     latest_state,
     negate,
     strip_weights,
+    undirected,
 )
 
 from gen import ALL_COMBOS, graph_from_pairs, random_graph
@@ -240,6 +242,30 @@ def test_lcc_is_connected_and_largest(rng=np.random.default_rng(11)):
         assert lcc.n == sizes.max()
 
 
+@pytest.mark.parametrize("fmt, weights", ALL_COMBOS)
+def test_components_hold_the_records_inside_them(fmt, weights):
+    rng = np.random.default_rng([7, ALL_COMBOS.index((fmt, weights))])
+    for _ in range(6):
+        g = random_graph(rng, fmt, weights, n_max=12, m_max=20)
+        labels = g.component_labels
+        lcc = largest_connected_component(g)
+        best = component(g, int(np.bincount(labels).argmax()))
+        assert lcc == best and np.array_equal(lcc.node_origin, best.node_origin)
+        u, v = g.endpoints()
+        for c in range(labels.max() + 1):
+            comp = component(g, c)
+            nodes = np.flatnonzero(labels == c) + 1
+            assert np.array_equal(comp.node_origin, nodes)
+            # an event log's components come from its latest state, so an
+            # event may leave the component; it is dropped
+            inside = np.isin(u, nodes) & np.isin(v, nodes)
+            cu, cv = comp.endpoints()
+            assert np.array_equal(comp.node_origin[cu - 1], u[inside])
+            assert np.array_equal(comp.node_origin[cv - 1], v[inside])
+            if inside.any() and g.weight is not None:
+                assert np.array_equal(comp.weight, g.weight[inside])
+
+
 def test_handshake_property(rng=np.random.default_rng(5)):
     for fmt, weights in ALL_COMBOS:
         g = random_graph(rng, fmt, weights)
@@ -300,14 +326,12 @@ def _old_as_undirected(g):
 
 @pytest.mark.parametrize("fmt, weights", ALL_COMBOS)
 def test_transforms_of_an_lcc_keep_node_origin(fmt, weights):
-    from netstats.stats import _as_undirected
-
     for seed in range(8):
         g = random_graph(np.random.default_rng(seed), fmt, weights, n_max=12, m_max=20)
         if not len(g.src) or g.static.n == 0:
             continue
         lcc = largest_connected_component(g)
-        transforms = [(strip_weights, _old_strip_weights), (_as_undirected, _old_as_undirected)]
+        transforms = [(strip_weights, _old_strip_weights), (undirected, _old_as_undirected)]
         if weights.allows_negative:
             transforms.append((absolute, _old_absolute))
         if weights is not WeightType.DYNAMIC:

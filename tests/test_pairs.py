@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from netstats.graph import Format, Graph, WeightType, dedupe, latest_state
+from netstats.graph import Format, Graph, WeightType, dedupe, latest_state, undirected
 from netstats.io import Header, validate
 from netstats.plots import plot_multiplicity
 from netstats.stats import (
@@ -150,9 +150,11 @@ def test_validate_reciprocal_rule_matches_brute_force(weights, seed):
         assert errors & set(RECIPROCAL_ERRORS) == want
 
 
-def islands(rng, count, signed):
+def islands(rng, count, signed, directed=False):
     """Disjoint random components of 2-12 nodes with parallel edges, and
-    the aggregated edges of each component in its own node numbering."""
+    the aggregated edges of each component in its own node numbering.
+    Directed islands orient each record at random, so that an edge of the
+    underlying graph may be parallel or reciprocal arcs."""
     src, dst, components, offset = [], [], [], 0
     for _ in range(count):
         size = int(rng.integers(2, 13))
@@ -164,20 +166,29 @@ def islands(rng, count, signed):
         src += [offset + a + 1 for a, _ in tree + extra]
         dst += [offset + b + 1 for _, b in tree + extra]
         offset += size
+    src, dst = np.array(src), np.array(dst)
+    fmt = Format.UNDIRECTED
+    if directed:
+        fmt = Format.DIRECTED
+        flip = rng.random(len(src)) < 0.5
+        src, dst = np.where(flip, dst, src), np.where(flip, src, dst)
     weights = WeightType.MULTISIGNED if signed else WeightType.POSITIVE
     w = rng.choice([-1.0, 1.0], len(src)) if signed else np.ones(len(src))
-    g = Graph(fmt=Format.UNDIRECTED, weights=weights, n1=offset, n2=None,
-              src=np.array(src), dst=np.array(dst), weight=w)
+    g = Graph(fmt=fmt, weights=weights, n1=offset, n2=None, src=src, dst=dst, weight=w)
     return g, components
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_frustration_over_many_components_matches_exact(seed):
-    g, components = islands(np.random.default_rng(seed), 150, signed=bool(seed % 2))
+@pytest.mark.parametrize("seed, directed", [pytest.param(s, False, id=str(s)) for s in SEEDS]
+                         + [pytest.param(s, True, id=f"directed-{s}") for s in SEEDS])
+def test_frustration_over_many_components_matches_exact(seed, directed):
+    g, components = islands(np.random.default_rng(seed), 150, bool(seed % 2), directed)
+    if directed:
+        arcs = g.pairs
+        assert arcs.reciprocated().any() and (arcs.sums > 1).any()
     want = 0
     for size, edges in components:
         ea, eb = (np.array(x) for x in zip(*edges))
         want += _frustration_exact(size, ea, eb, np.array(list(edges.values())))
-    base = dataclasses.replace(g, weights=WeightType.POSITIVE, weight=None)
+    base = undirected(dataclasses.replace(g, weights=WeightType.POSITIVE, weight=None))
     assert _min_frustrated_edges(base, DEFAULT_OPTIONS) == (want, True)
     assert compute(g, "frustration").value == pytest.approx(want / len(g.src))

@@ -3,6 +3,7 @@ import pytest
 
 from netstats.graph import Format, Graph, GraphError, IncompatibleGraphError, WeightType
 from netstats.plots import (
+    _spectrum_cumulative,
     draw_graph,
     plot_assortativity,
     plot_clustering_distribution,
@@ -16,6 +17,7 @@ from netstats.plots import (
     plot_temporal,
     plot_weight,
 )
+from netstats.spectral import MatrixKind, build_operator
 from netstats.stats import Workspace, compute
 from netstats.svg import render_svg
 
@@ -163,6 +165,17 @@ def test_spectrum_estimated_brackets():
     cmax = cumulative.columns["cum_count_max"]
     assert np.all(cmin <= cmax)
     assert cmax[-1] == cmin[-1]  # the full range holds every eigenvalue
+
+
+def test_spectrum_estimated_bins_keep_values_rounded_past_the_bound():
+    # an eigenvalue -1 of the normalized matrix may round just below -1
+    hexagon = graph_from_pairs([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)], 6)
+    op = build_operator(hexagon, MatrixKind.NORMALIZED)
+    cumulative = _spectrum_cumulative(op, np.array([-1 - 5e-15, -0.5, 1 + 5e-15]),
+                                      False, "normalized")
+    cmin = cumulative.columns["cum_count_min"]
+    assert cmin[0] == 1
+    assert np.all(np.diff(cmin) >= 0) and cmin[-1] == op.dim
 
 
 def test_complex_eigenvalues_plot():

@@ -20,7 +20,7 @@ from netstats.stats import (
     statistics_tsv,
 )
 
-from gen import graph_from_pairs, random_simple_undirected
+from gen import ALL_COMBOS, graph_from_pairs, random_simple_undirected
 
 
 def k3():
@@ -365,6 +365,15 @@ def test_signed_clustering():
                               weights=WeightType.SIGNED, w=[-1, 1, 1])
     assert val(oneneg, "clusco_signed_rel") == -1.0
     assert val(oneneg, "clusco_signed") == pytest.approx(-1 / 3 * 3 * 1 / 3 * 3)
+
+
+def test_signed_clustering_centres_ratings_on_every_record():
+    # the loop's rating 9 lifts the mean to 3.5, so all three triangle edges
+    # rate below it; without the loop the mean is 5/3 and one rates above
+    g = Graph(fmt=Format.UNDIRECTED, weights=WeightType.WEIGHTED, n1=3, n2=None,
+              src=np.array([1, 2, 1, 1]), dst=np.array([2, 3, 3, 1]),
+              weight=np.array([1.0, 1.0, 3.0, 9.0]), tags={"#loop"})
+    assert val(g, "clusco_signed_rel") == -1.0
 
 
 def test_signed_clustering_pair_shares_one_triple_pass(monkeypatch):
@@ -811,10 +820,21 @@ def test_statistics_tsv_deterministic():
     assert "reciprocity\tNA" in text1  # undirected input: NA row with reason
 
 
+def _no_records(fmt, weights):
+    bipartite = fmt is Format.BIPARTITE
+    return Graph(fmt=fmt, weights=weights, n1=3, n2=2 if bipartite else None,
+                 src=np.zeros(0), dst=np.zeros(0))
+
+
 def test_compute_all_covers_registry():
-    rows = compute_all(k3())
-    assert [name for name, _ in rows] == list(statistic_names())
-    assert len(rows) == 41
+    for g in [k3()] + [_no_records(f, w) for f, w in ALL_COMBOS]:
+        rows = compute_all(g)
+        assert [name for name, _ in rows] == list(statistic_names())
+        assert len(rows) == 41
+        # a row may be NA, but not from a programming error
+        assert not [name for name, row in rows if isinstance(row, TypeError)], g
+        if not len(g.src):
+            assert dict(rows)["weight"].value == 0, g
 
 
 def test_lorenz_curve_endpoints():
