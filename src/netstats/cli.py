@@ -6,7 +6,9 @@ files are written atomically (temp + rename) under
 ``NETSTAT_OUT`` environment variable.  ``stats`` and ``plot`` process the
 datasets of a directory in forked workers, one per usable core unless
 ``--jobs`` asks for fewer; ``stats`` on a single dataset forks its
-statistics across the workers instead.
+statistics across the workers instead.  The statistics and the plot kinds
+are looked up in their catalogs, ``stats.statistic_names()`` and
+``plots.PLOTS``; this module names neither.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from . import plots as _plots
 from . import stats as _stats
 from .graph import (
     GraphError,
-    IncompatibleGraphError,
     absolute,
     dedupe,
     largest_connected_component,
@@ -214,73 +215,10 @@ def _stat_row(name) -> str:
 
 # -- plot --------------------------------------------------------------------
 
-PLOT_KINDS = (
-    "temporal",
-    "weight",
-    "multiplicity",
-    "degree",
-    "lorenz",
-    "out-in",
-    "assortativity",
-    "clustering",
-    "spectrum",
-    "complex-eigenvalues",
-    "distance",
-    "temporal-distance",
-    "drawing",
-)
-
-
 def _plot_series(kind, ws, k):
-    """Series for one CLI plot kind: list of (file slug, PlotSeries, extra files).
-
-    Every kind reads the dataset's one Workspace, so the plots share its
-    latest state, LCC, BFS pass and per-node triangle counts.
-    """
-    if kind == "temporal":
-        return [("temporal-distribution", _plots.plot_temporal(ws), None)]
-    if kind == "weight":
-        return [("weight-distribution", _plots.plot_weight(ws), None)]
-    if kind == "multiplicity":
-        return [("multiplicity-distribution", _plots.plot_multiplicity(ws), None)]
-    if kind == "degree":
-        dist, cum = _plots.plot_degree(ws)
-        return [("degree-distribution", dist, None),
-                ("cumulative-degree-distribution", cum, None)]
-    if kind == "lorenz":
-        return [("lorenz", _plots.plot_lorenz(ws), None)]
-    if kind == "out-in":
-        return [("out-in-comparison", _plots.plot_out_in(ws), None)]
-    if kind == "assortativity":
-        return [("assortativity-plot", _plots.plot_assortativity(ws), None)]
-    if kind == "clustering":
-        return [("clustering-distribution", _plots.plot_clustering_distribution(ws), None)]
-    if kind == "spectrum":
-        out = []
-        for matrix in ("adjacency", "normalized", "laplacian"):
-            topk, cum, result = _plots.plot_spectrum(ws, matrix, k)
-            spectra = (f"spectra.{matrix}", result.values_tsv())
-            out.append((f"spectrum-topk-{matrix}", topk, spectra))
-            out.append((f"spectrum-cumulative-{matrix}", cum, None))
-        return out
-    if kind == "complex-eigenvalues":
-        return [("complex-eigenvalues", _plots.plot_complex_eigenvalues(ws, k), None)]
-    if kind == "distance":
-        return [("distance-distribution", _plots.plot_distance_distribution(ws), None)]
-    if kind == "temporal-distance":
-        series = _plots.plot_distance_distribution(ws, snapshots=_snapshot_cuts(ws.raw))
-        return [("temporal-distance-distribution", series, None)]
-    if kind == "drawing":
-        return [(f"drawing-{m}", _plots.draw_graph(ws, m), None) for m in ("A", "N", "L")]
-    raise CliError(f"unknown plot kind {kind!r}")
-
-
-def _snapshot_cuts(graph, pieces: int = 5) -> list[float]:
-    if graph.timestamp is None:
-        raise IncompatibleGraphError("temporal plots require timestamps")
-    lo, hi = float(graph.timestamp.min()), float(graph.timestamp.max())
-    # the last cut is hi itself: lo + (hi - lo) can round below hi
-    return [lo + (hi - lo) * (i + 1) / pieces for i in range(pieces - 1)] + [hi]
+    """The files of one plot kind, as ``plots.PLOTS`` declares them."""
+    # a function of its own: perfbench/trace_run.py wraps it to time each kind
+    return _plots.PLOTS[kind](ws, k)
 
 
 def _plot_one(network, path, kinds, opts, outdir, k, all_mode) -> tuple[str, int]:
@@ -294,12 +232,12 @@ def _plot_one(network, path, kinds, opts, outdir, k, all_mode) -> tuple[str, int
     for kind in kinds:
         files = {}  # rendered in full before any is written
         try:
-            for slug, series, extra in _plot_series(kind, ws, k):
-                files[f"plot.{slug}.{network}.tsv"] = series.to_tsv().encode()
-                files[f"plot.{slug}.{network}.svg"] = render_svg(series)
-                if extra is not None:
-                    extra_slug, text = extra
-                    files[f"{extra_slug}.{network}.tsv"] = text.encode()
+            for stem, content in _plot_series(kind, ws, k):
+                if isinstance(content, str):
+                    files[f"{stem}.{network}.tsv"] = content.encode()
+                else:
+                    files[f"{stem}.{network}.tsv"] = content.to_tsv().encode()
+                    files[f"{stem}.{network}.svg"] = render_svg(content)
         except GraphError as exc:
             if all_mode:
                 messages.append(f"skipped\t{network}\t{kind}\t{exc}\n")
@@ -313,7 +251,7 @@ def _plot_one(network, path, kinds, opts, outdir, k, all_mode) -> tuple[str, int
 
 
 def cmd_plot(args) -> int:
-    kinds = _selected(args.kinds, args.plots, args.all, PLOT_KINDS, "plot kind")
+    kinds = _selected(args.kinds, args.plots, args.all, _plots.PLOTS, "plot kind")
     outdir = args.out or os.environ.get("NETSTAT_OUT")
     if not outdir:
         raise CliError("plots need an output directory (--out or NETSTAT_OUT)")
@@ -423,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot", help="emit plot data (TSV) and SVG renderings")
     common(p)
-    p.add_argument("kinds", nargs="*", default=None, help=f"kinds: {', '.join(PLOT_KINDS)}")
+    p.add_argument("kinds", nargs="*", default=None, help=f"kinds: {', '.join(_plots.PLOTS)}")
     p.add_argument("--plots", default=None, help="comma separated plot kinds")
     p.add_argument("--all", action="store_true", help="every applicable plot")
     p.set_defaults(fn=cmd_plot)

@@ -26,9 +26,9 @@ in order, with some fields replaced.  ``node_origin`` is kept unless the
 transform renumbers the nodes, so a transform of a largest component still
 maps its nodes back.  Two of them are the views that the statistics ignoring
 orientation or working per component read: :func:`undirected` forgets edge
-orientations (``Graph.pattern`` comes from its pair index), and
-:func:`component` cuts out one weakly connected component and renumbers its
-nodes (the largest component is the one with the most nodes).
+orientations, and :func:`component` cuts out one weakly connected component
+and renumbers its nodes (the largest component is the one with the most
+nodes).  ``Graph.pattern`` mirrors the graph's own pair index.
 """
 
 from __future__ import annotations
@@ -465,7 +465,7 @@ class Graph:
         """0/1 symmetric adjacency of the underlying simple loopless graph."""
         if self.weights is WeightType.DYNAMIC:
             return self.static.pattern
-        a, b = undirected(self).pairs.endpoints()
+        a, b = self.pairs.endpoints()
         keep = a != b
         a, b = a[keep] - 1, b[keep] - 1
         if len(a) == 0:
@@ -473,7 +473,9 @@ class Graph:
         rows = np.concatenate([a, b])
         cols = np.concatenate([b, a])
         data = np.ones(len(rows), dtype=np.int64)
-        return sparse.coo_array((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
+        pattern = sparse.coo_array((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
+        pattern.data[:] = 1  # a reciprocated arc pair sums to 2
+        return pattern
 
     @cached_property
     def component_labels(self) -> np.ndarray:

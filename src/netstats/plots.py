@@ -7,7 +7,9 @@ latest state), ``ws.lcc`` for its largest component and ``ws.opts`` for
 the solver options.  Each builder returns one or more :class:`PlotSeries`;
 ``to_tsv`` serializes a series with a single ``#`` header line naming the
 kind, columns, scales and annotations.  Rendering to SVG lives in
-:mod:`netstats.svg`.
+:mod:`netstats.svg`.  :data:`PLOTS` is the catalog of plot kinds, in
+``--all`` order: each maps ``(ws, k)`` to its files as ``(stem, PlotSeries
+or text)`` pairs, a series' stem being ``plot.<series.kind>``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .io import number_text
 from .stats import Workspace
 
 SPECTRUM_BINS = 49  # odd, so no bin boundary sits at zero for the normalized matrix
+TEMPORAL_BINS = 100
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ def _column_text(column):
     return number_text(column)
 
 
-def plot_temporal(ws: Workspace, bins: int = 100) -> PlotSeries:
+def plot_temporal(ws: Workspace) -> PlotSeries:
     """Edge counts per uniform time bin over [min, max] timestamp."""
     ts = ws.raw.timestamp
     if ts is None:
@@ -81,12 +84,12 @@ def plot_temporal(ws: Workspace, bins: int = 100) -> PlotSeries:
             {"x": "linear", "y": "linear"},
             {"bins": "1"},
         )
-    counts, edges = np.histogram(ts, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(ts, bins=TEMPORAL_BINS, range=(lo, hi))
     return PlotSeries(
         "temporal-distribution",
         {"time": edges[:-1], "count": counts},
         {"x": "linear", "y": "linear"},
-        {"bins": str(bins)},
+        {"bins": str(TEMPORAL_BINS)},
     )
 
 
@@ -307,32 +310,39 @@ def plot_complex_eigenvalues(ws: Workspace, k: int = SPECTRUM_K) -> PlotSeries:
     )
 
 
-def plot_distance_distribution(
+def plot_distance_distribution(ws: Workspace) -> PlotSeries:
+    """Cumulative fraction of node pairs within each hop count."""
+    data = ws.hops
+    frac = np.cumsum(data.counts) / data.counts.sum()
+    return PlotSeries(
+        "distance-distribution",
+        {"hop": np.arange(len(data.counts)), "fraction_within": frac},
+        {"x": "linear", "y": "linear"},
+        {
+            "includes_self_pairs": "true",
+            "method": "exact" if data.exact else "estimated",
+        },
+    )
+
+
+def plot_temporal_distance(
     ws: Workspace, snapshots: list[float] | None = None
 ) -> PlotSeries:
-    """Cumulative fraction of node pairs within each hop count.
+    """The distance distribution of the graph cut at each snapshot time
+    (by default five, splitting the timestamp range evenly), long-format:
+    (time, hop, fraction).
 
-    With snapshot timestamps, the same curve is computed on the graph cut
-    at each time, long-format: (time, hop, fraction).  The plain curve and
-    every snapshot that holds all records use the Workspace's hop data, so
-    one Workspace serves both plots with one BFS pass.  A snapshot that
-    holds the same records as the one before it reuses that one's hop data.
+    A snapshot that holds all records uses the Workspace's hop data, shared
+    with ``distance``; one that holds the same records as the one before it
+    reuses that one's hop data.
     """
-    if snapshots is None:
-        data = ws.hops
-        frac = np.cumsum(data.counts) / data.counts.sum()
-        return PlotSeries(
-            "distance-distribution",
-            {"hop": np.arange(len(data.counts)), "fraction_within": frac},
-            {"x": "linear", "y": "linear"},
-            {
-                "includes_self_pairs": "true",
-                "method": "exact" if data.exact else "estimated",
-            },
-        )
     g = ws.raw
     if g.timestamp is None:
-        raise IncompatibleGraphError("temporal distance plot requires timestamps")
+        raise IncompatibleGraphError("temporal plots require timestamps")
+    if snapshots is None:
+        lo, hi = float(g.timestamp.min()), float(g.timestamp.max())
+        # the last cut is hi itself: lo + (hi - lo) can round below hi
+        snapshots = [lo + (hi - lo) * i / 5 for i in range(1, 5)] + [hi]
     times, hops, fracs = [], [], []
     method = "exact"
     # snapshots nest, so one with as many records as the last holds the same ones
@@ -363,9 +373,9 @@ def plot_distance_distribution(
 
 
 _DRAWING_MATRICES = {
-    "A": (MatrixKind.ADJACENCY, "drawing-A"),
-    "N": (MatrixKind.NORMALIZED, "drawing-N"),
-    "L": (MatrixKind.LAPLACIAN, "drawing-L"),
+    "A": MatrixKind.ADJACENCY,
+    "N": MatrixKind.NORMALIZED,
+    "L": MatrixKind.LAPLACIAN,
 }
 
 
@@ -379,7 +389,7 @@ def draw_graph(ws: Workspace, matrix: str = "A") -> PlotSeries:
     """
     if matrix not in _DRAWING_MATRICES:
         raise GraphError(f"unknown drawing matrix {matrix!r}")
-    kind, plot_kind = _DRAWING_MATRICES[matrix]
+    kind = _DRAWING_MATRICES[matrix]
     op = build_operator(ws.lcc, kind)
     if op.dim < 3:
         raise IncompatibleGraphError("spectral drawings need at least 3 nodes")
@@ -397,7 +407,7 @@ def draw_graph(ws: Workspace, matrix: str = "A") -> PlotSeries:
         annotations["restricted_to_lcc"] = "true"
         node_ids = ws.lcc.node_origin[node_ids - 1]
     return PlotSeries(
-        plot_kind,
+        f"drawing-{matrix}",
         {"node": node_ids, "x": vx, "y": vy},
         {"x": "linear", "y": "linear"},
         annotations,
@@ -407,3 +417,34 @@ def draw_graph(ws: Workspace, matrix: str = "A") -> PlotSeries:
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
     i = int(np.argmax(np.abs(vec)))
     return -vec if vec[i] < 0 else vec.copy()
+
+
+def _stems(*series: PlotSeries) -> list[tuple[str, PlotSeries]]:
+    return [(f"plot.{s.kind}", s) for s in series]
+
+
+def _spectrum_files(ws: Workspace, k: int) -> list[tuple[str, PlotSeries | str]]:
+    files = []
+    for matrix in _SPECTRUM_MATRICES:
+        topk, cumulative, res = plot_spectrum(ws, matrix, k)
+        files += [(f"plot.spectrum-topk-{matrix}", topk),
+                  (f"spectra.{matrix}", res.values_tsv()),
+                  (f"plot.spectrum-cumulative-{matrix}", cumulative)]
+    return files
+
+
+PLOTS = {
+    "temporal": lambda ws, k: _stems(plot_temporal(ws)),
+    "weight": lambda ws, k: _stems(plot_weight(ws)),
+    "multiplicity": lambda ws, k: _stems(plot_multiplicity(ws)),
+    "degree": lambda ws, k: _stems(*plot_degree(ws)),
+    "lorenz": lambda ws, k: _stems(plot_lorenz(ws)),
+    "out-in": lambda ws, k: _stems(plot_out_in(ws)),
+    "assortativity": lambda ws, k: _stems(plot_assortativity(ws)),
+    "clustering": lambda ws, k: _stems(plot_clustering_distribution(ws)),
+    "spectrum": _spectrum_files,
+    "complex-eigenvalues": lambda ws, k: _stems(plot_complex_eigenvalues(ws, k)),
+    "distance": lambda ws, k: _stems(plot_distance_distribution(ws)),
+    "temporal-distance": lambda ws, k: _stems(plot_temporal_distance(ws)),
+    "drawing": lambda ws, k: _stems(*(draw_graph(ws, m) for m in _DRAWING_MATRICES)),
+}

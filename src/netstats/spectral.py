@@ -250,15 +250,14 @@ def eig_symmetric(
     op: Operator,
     k: int,
     order: str = "largest-absolute",
-    strategy: str = "auto",
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ) -> SpectralResult:
     """Top-k eigenpairs of a symmetric operator.
 
     ``order`` selects by largest absolute value or smallest algebraic value.
-    A dense decomposition is used up to DENSE_LIMIT rows unless ``strategy``
-    forces the Krylov path.  Residuals are relative to the operator norm.
+    A dense decomposition is used up to DENSE_LIMIT rows, the Krylov path
+    above.  Residuals are relative to the operator norm.
     """
     if order not in ("largest-absolute", "smallest"):
         raise ValueError(f"unknown order {order!r}")
@@ -271,7 +270,7 @@ def eig_symmetric(
     diag = _diagonal_entries(op.matrix)
     if diag is not None:
         return _eig_diagonal(op, k, order, diag)
-    if _dense(strategy, n, k, n):  # Lanczos cannot produce a full spectrum
+    if _dense(n, k, n):  # Lanczos cannot produce a full spectrum
         vals, vecs = np.linalg.eigh(op.matrix.toarray())
         method = "dense"
     else:
@@ -304,7 +303,6 @@ def eig_symmetric(
 def eig_general(
     op: Operator,
     k: int,
-    strategy: str = "auto",
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ) -> SpectralResult:
@@ -317,7 +315,7 @@ def eig_general(
         raise IncompatibleGraphError("general eigenvalues need a square operator")
     if k < 1 or k > n:
         raise GraphError(f"k={k} out of range for dimension {n}")
-    if _dense(strategy, n, k, n - 1):  # ARPACK needs k < n-1 for general problems
+    if _dense(n, k, n - 1):  # ARPACK needs k < n-1 for general problems
         vals, vecs = np.linalg.eig(op.matrix.toarray())
         method = "dense"
     else:
@@ -344,14 +342,13 @@ def spectrum(
 ) -> SpectralResult:
     """The whole spectrum of a symmetric operator where the dense path runs,
     else its top k eigenpairs; ``len(values) == op.dim`` tells which."""
-    full = _dense("auto", op.dim, k, op.dim)
+    full = _dense(op.dim, k, op.dim)
     return eig_symmetric(op, op.dim if full else k, order, tol=tol, seed=seed)
 
 
 def svd(
     op: Operator,
     k: int,
-    strategy: str = "auto",
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ) -> SpectralResult:
@@ -359,7 +356,7 @@ def svd(
     n1, n2 = op.matrix.shape
     if k < 1 or k > min(n1, n2):
         raise GraphError(f"k={k} out of range for shape {op.matrix.shape}")
-    if _dense(strategy, max(n1, n2), k, min(n1, n2)):
+    if _dense(max(n1, n2), k, min(n1, n2)):
         u, s, vt = np.linalg.svd(op.matrix.toarray(), full_matrices=False)
         method = "dense"
     else:
@@ -385,18 +382,17 @@ def svd(
 def svd_biadjacency(
     g: Graph,
     k: int,
-    strategy: str = "auto",
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ) -> SpectralResult:
     """Top-k singular triplets of the biadjacency matrix of a bipartite graph."""
-    return svd(build_operator(g, MatrixKind.BIADJACENCY), k, strategy, tol, seed)
+    return svd(build_operator(g, MatrixKind.BIADJACENCY), k, tol, seed)
 
 
-def _dense(strategy: str, size: int, k: int, k_max: int) -> bool:
-    """Whether to decompose densely: forced, small enough, or k beyond what
-    ARPACK can deliver (``k_max`` and above)."""
-    return strategy == "dense" or (strategy == "auto" and size <= DENSE_LIMIT) or k >= k_max
+def _dense(size: int, k: int, k_max: int) -> bool:
+    """Whether to decompose densely: small enough, or k beyond what ARPACK
+    can deliver (``k_max`` and above)."""
+    return size <= DENSE_LIMIT or k >= k_max
 
 
 def _arpack(solver, matrix, k: int, tol: float, seed: int, failure: str):

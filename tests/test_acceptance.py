@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from netstats import spectral
 from netstats.graph import (
     Format,
     WeightType,
@@ -151,7 +152,13 @@ def test_05_distance_oracles():
     report(5, "distance statistics vs Floyd-Warshall", ok)
 
 
-def test_06_spectral_correctness():
+def test_06_spectral_correctness(monkeypatch):
+    def dense_and_iterative(solve):
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", math.inf)
+        dense = solve()
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        return dense, solve()
+
     rng = np.random.default_rng(6)
     ok = True
     g = largest_connected_component(random_simple_undirected(rng, 300, 0.03))
@@ -170,8 +177,7 @@ def test_06_spectral_correctness():
     ]
     for graph, kind, order in symmetric_cases:
         op = build_operator(graph, kind)
-        dense = eig_symmetric(op, 10, order, strategy="dense")
-        iterative = eig_symmetric(op, 10, order, strategy="iterative")
+        dense, iterative = dense_and_iterative(lambda: eig_symmetric(op, 10, order))
         scale = max(1.0, float(np.abs(dense.values).max()))
         ok = ok and np.all(
             np.abs(dense.values - iterative.values) <= 1e-8 * scale
@@ -182,8 +188,7 @@ def test_06_spectral_correctness():
     for kind in (MatrixKind.STOCHASTIC, MatrixKind.STOCHASTIC_COL,
                  MatrixKind.STOCHASTIC_LAPLACIAN):
         op = build_operator(g, kind)
-        dense = eig_general(op, 10, strategy="dense")
-        iterative = eig_general(op, 10, strategy="iterative")
+        dense, iterative = dense_and_iterative(lambda: eig_general(op, 10))
         scale = max(1.0, float(np.abs(dense.values).max()))
         k = min(len(dense.values), len(iterative.values), 10)
         ok = ok and np.all(
@@ -194,8 +199,7 @@ def test_06_spectral_correctness():
 
     bip = random_graph(np.random.default_rng(66), Format.BIPARTITE,
                        WeightType.UNWEIGHTED, n_max=120, m_max=700)
-    dense = svd_biadjacency(bip, 10, strategy="dense")
-    iterative = svd_biadjacency(bip, 10, strategy="iterative")
+    dense, iterative = dense_and_iterative(lambda: svd_biadjacency(bip, 10))
     scale = max(1.0, float(dense.values.max()))
     ok = ok and np.all(np.abs(dense.values - iterative.values) <= 1e-8 * scale)
     ok = ok and np.max(iterative.residuals) <= 1e-8

@@ -15,6 +15,7 @@ from netstats.plots import (
     plot_out_in,
     plot_spectrum,
     plot_temporal,
+    plot_temporal_distance,
     plot_weight,
 )
 from netstats.spectral import MatrixKind, build_operator
@@ -203,7 +204,7 @@ def test_temporal_distance_monotone():
     g = Graph(fmt=Format.UNDIRECTED, weights=WeightType.UNWEIGHTED,
               n1=5, n2=None, src=np.array([1, 2, 3, 4]), dst=np.array([2, 3, 4, 5]),
               weight=np.ones(4), timestamp=np.array(ts))
-    series = plot_distance_distribution(Workspace(g), snapshots=[1.5, 2.5, 4.0])
+    series = plot_temporal_distance(Workspace(g), snapshots=[1.5, 2.5, 4.0])
     assert series.kind == "temporal-distance-distribution"
     hops = series.columns["hop"]
     times = series.columns["time"]

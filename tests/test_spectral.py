@@ -75,12 +75,13 @@ def test_bipartite_adjacency_spectrum_symmetric():
     assert np.allclose(vals, -vals[::-1], atol=1e-9)
 
 
-def test_eig_iterative_matches_dense():
+def test_eig_iterative_matches_dense(monkeypatch):
     rng = np.random.default_rng(2)
     g = random_simple_undirected(rng, 80, 0.1)
     op = build_operator(g, MatrixKind.ADJACENCY)
-    dense = eig_symmetric(op, k=5, strategy="dense")
-    iterative = eig_symmetric(op, k=5, strategy="iterative")
+    dense = eig_symmetric(op, k=5)  # 80 rows: below DENSE_LIMIT
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+    iterative = eig_symmetric(op, k=5)
     assert np.allclose(dense.values, iterative.values, rtol=1e-8)
     assert np.max(iterative.residuals) <= 1e-8
 
@@ -294,13 +295,14 @@ def test_nan_residual_fails_the_gate(monkeypatch):
         eig_symmetric(build_operator(triangle(), MatrixKind.ADJACENCY), k=3)
 
 
-def test_svd_of_a_directed_adjacency_is_its_operator_norm():
+def test_svd_of_a_directed_adjacency_is_its_operator_norm(monkeypatch):
     rng = np.random.default_rng(23)
     pairs = {(int(a) + 1, int(b) + 1) for a, b in rng.integers(0, 30, size=(90, 2)) if a != b}
     op = build_operator(graph_from_pairs(sorted(pairs), 30, fmt=Format.DIRECTED),
                         MatrixKind.ADJACENCY)
     dense = svd(op, 3)
-    iterative = svd(op, 3, strategy="iterative")
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+    iterative = svd(op, 3)
     assert (dense.method, iterative.method) == ("dense", "iterative")
     assert dense.values[0] == pytest.approx(np.linalg.norm(op.matrix.toarray(), 2))
     assert np.allclose(dense.values, iterative.values, rtol=1e-8)
@@ -323,10 +325,11 @@ def test_arpack_failure_carries_no_residuals(monkeypatch):
                                   np.array([3.0]), np.zeros((12, 1)))
 
     monkeypatch.setattr(spectral, "eigsh", no_convergence)
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
     op = build_operator(random_simple_undirected(np.random.default_rng(19), 12, 0.4),
                         MatrixKind.ADJACENCY)
     with pytest.raises(SpectralError, match="eigensolver did not converge for adjacency") as info:
-        eig_symmetric(op, 2, strategy="iterative")
+        eig_symmetric(op, 2)
     assert info.value.residuals is None
 
 
