@@ -26,8 +26,8 @@ in order, with some fields replaced.  ``node_origin`` is kept unless the
 transform renumbers the nodes, so a transform of a largest component still
 maps its nodes back.  Two of them are the views that the statistics ignoring
 orientation or working per component read: :func:`undirected` forgets edge
-orientations, and :func:`component` cuts out one weakly connected component
-and renumbers its nodes (the largest component is the one with the most
+orientations, and :func:`components` cuts out weakly connected components
+and renumbers their nodes (the largest component is the one with the most
 nodes).  ``Graph.pattern`` mirrors the graph's own pair index.
 """
 
@@ -219,7 +219,7 @@ class Graph:
     weight: np.ndarray | None = None
     timestamp: np.ndarray | None = None
     tags: frozenset[str] = frozenset()
-    node_origin: np.ndarray | None = None  # set by component
+    node_origin: np.ndarray | None = None  # set by components
 
     def __post_init__(self):
         object.__setattr__(self, "src", _frozen(self.src, np.int64))
@@ -342,7 +342,8 @@ class Graph:
     def select(self, rows=slice(None), **fields) -> "Graph":
         """The graph on the records ``rows`` picks (all by default); ``fields``
         replace attributes, and ``node_origin`` is kept unless replaced."""
-        cols = {k: getattr(self, k) for k in ("src", "dst", "weight", "timestamp")}
+        cols = {k: getattr(self, k) for k in ("src", "dst", "weight", "timestamp")
+                if k not in fields}
         picked = {k: None if c is None else c[rows] for k, c in cols.items()}
         return dataclasses.replace(self, **{**picked, **fields})
 
@@ -577,36 +578,43 @@ def undirected(g: Graph) -> Graph:
     return g.select(fmt=Format.UNDIRECTED, weights=remap.get(g.weights, g.weights))
 
 
-def component(g: Graph, label: int) -> Graph:
-    """Induced subgraph on the weakly connected component ``label`` of
-    ``g.component_labels``.
+def components(g: Graph, labels) -> list[Graph]:
+    """Induced subgraphs on the weakly connected components ``labels`` of
+    ``g.component_labels``, in that order.
 
     Node ids are re-consecutivized in their old order (a bipartite graph
-    numbers each side on its own); the returned graph's ``node_origin`` maps
-    new combined ids (index + 1) back to the old combined ids.
+    numbers each side on its own); each graph's ``node_origin`` maps new
+    combined ids (index + 1) back to the old combined ids.  One stable sort
+    of the nodes and one of the records serve every label.
     """
-    labels = g.component_labels
-    nodes = np.flatnonzero(labels == label)  # ascending: left block, then right
-    mapping = np.full(g.n, -1, dtype=np.int64)
-    if g.is_bipartite:
-        left = nodes[nodes < g.n1]
-        right = nodes[nodes >= g.n1]
-        mapping[left] = np.arange(len(left))
-        mapping[right] = np.arange(len(right))
-        n1, n2 = len(left), len(right)
-    else:
-        mapping[nodes] = np.arange(len(nodes))
-        n1, n2 = len(nodes), None
+    labels = np.asarray(labels, dtype=np.int64)
+    if not len(labels):
+        return []
+    # each node's label, or -1 outside the requested components
+    comp = np.where(np.isin(g.component_labels, labels), g.component_labels, -1)
+    # nodes by (component, side), each group in its old order
+    key = 2 * comp + (np.arange(g.n) >= g.n1)
+    nodes = np.flatnonzero(comp >= 0)
+    nodes = nodes[np.argsort(key[nodes], kind="stable")]
+    local = np.empty(g.n, dtype=np.int64)
+    local[nodes] = np.arange(len(nodes)) - np.searchsorted(key[nodes], key[nodes])
     # an event log's components come from its latest state, so an event may
     # join the component to a node outside it
     u, v = g.endpoints()
-    keep = (mapping[u - 1] >= 0) & (mapping[v - 1] >= 0)
-    return g.select(keep, n1=n1, n2=n2, src=mapping[u[keep] - 1] + 1,
-                    dst=mapping[v[keep] - 1] + 1, node_origin=nodes + 1)
+    cu = comp[u - 1]
+    rows = np.flatnonzero((cu >= 0) & (cu == comp[v - 1]))
+    rows = rows[np.argsort(cu[rows], kind="stable")]
+    src, dst = local[u[rows] - 1] + 1, local[v[rows] - 1] + 1
+    node_at = np.searchsorted(key[nodes], 2 * labels + [[0], [1], [2]])
+    row_at = np.searchsorted(cu[rows], labels + [[0], [1]])
+    return [g.select(rows[r0:r1], n1=int(right - left),
+                     n2=int(end - right) if g.is_bipartite else None,
+                     src=src[r0:r1], dst=dst[r0:r1], node_origin=nodes[left:end] + 1)
+            for (r0, r1), (left, right, end) in zip(row_at.T, node_at.T)]
 
 
 def largest_connected_component(g: Graph) -> Graph:
-    """The :func:`component` with the most nodes; ties go to the smallest label."""
+    """The component with the most nodes; ties go to the smallest label."""
     if g.n == 0:
         raise GraphError("empty graph has no connected component")
-    return component(g, int(np.bincount(g.component_labels).argmax()))
+    return components(g, [np.bincount(g.component_labels).argmax()])[0]

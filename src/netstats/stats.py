@@ -27,7 +27,7 @@ from .graph import (
     Graph,
     GraphError,
     IncompatibleGraphError,
-    component,
+    components,
     largest_connected_component,
     strip_weights,
     undirected,
@@ -150,8 +150,8 @@ class Workspace:
 
     @cached_property
     def bip_base(self) -> Graph:
-        """Largest component, weights stripped and loops dropped (bipartivity base)."""
-        return _drop_loops(strip_weights(self.sym_lcc))
+        """The :func:`_bipartivity_base` of the largest component."""
+        return _bipartivity_base(self.sym_lcc)
 
     @cached_property
     def triangles(self) -> np.ndarray:
@@ -180,8 +180,12 @@ class Workspace:
         return _signed_triple_trace(signs)
 
 
-def _drop_loops(g: Graph) -> Graph:
-    if g.is_bipartite or not len(g.src) or not np.any(g.src == g.dst):
+def _bipartivity_base(g: Graph) -> Graph:
+    """``g`` with weights stripped, orientations folded and loops dropped."""
+    # orientations are folded after the weights are stripped: stripping an
+    # event log replays it per ordered pair
+    g = undirected(strip_weights(g))
+    if g.is_bipartite or not np.any(g.src == g.dst):
         return g
     return g.select(g.src != g.dst)
 
@@ -823,7 +827,7 @@ def _interpolate_quantile(counts: np.ndarray, q: float) -> float:
 def eccentricity(g: Graph, u: int) -> int:
     """Maximal hop distance from u to any node reachable from it."""
     ws = Workspace(g)
-    comp = component(ws.g, ws.g.component_labels[ws.g._check_node(u)])
+    [comp] = components(ws.g, [ws.g.component_labels[ws.g._check_node(u)]])
     _, eccs = _bfs_counts(comp.pattern, np.searchsorted(comp.node_origin, [u]))
     return int(eccs[0])
 
@@ -881,9 +885,7 @@ def _laplacian_smallest(g: Graph, k: int, opts: Options) -> np.ndarray:
 
 @statistic("frustration")
 def stat_frustration(ws) -> StatisticValue:
-    # orientations are folded after the weights are stripped: stripping an
-    # event log replays it per ordered pair
-    base = _drop_loops(undirected(strip_weights(ws.g)))
+    base = _bipartivity_base(ws.g)
     if base.m == 0:
         return StatisticValue("frustration", 0.0, FULL)
     f, exact = _min_frustrated_edges(base, ws.opts)
@@ -896,11 +898,11 @@ def stat_frustration(ws) -> StatisticValue:
 
 def _min_frustrated_edges(g: Graph, opts: Options) -> tuple[int, bool]:
     """Minimum same-side edge weight over all bipartitions, per component,
-    of a loopless undirected graph."""
+    of a loopless undirected graph such as a :func:`_bipartivity_base`; one
+    :func:`components` call cuts out every component that is searched."""
     total, all_exact = 0, True
     # a 2-colourable component needs no frustrated edge: search only the others
-    for c in np.flatnonzero(~_two_colourable(g)):
-        comp = component(g, c)
+    for comp in components(g, np.flatnonzero(~_two_colourable(g))):
         ea, eb = (x - 1 for x in comp.pairs.endpoints())
         if comp.n <= 20:
             total += _frustration_exact(comp.n, ea, eb, comp.pairs.sums)

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from netstats import graph
 from netstats.graph import (
     Format,
     Graph,
@@ -9,7 +13,7 @@ from netstats.graph import (
     InvalidNodeError,
     WeightType,
     absolute,
-    component,
+    components,
     dedupe,
     largest_connected_component,
     latest_state,
@@ -249,11 +253,13 @@ def test_components_hold_the_records_inside_them(fmt, weights):
         g = random_graph(rng, fmt, weights, n_max=12, m_max=20)
         labels = g.component_labels
         lcc = largest_connected_component(g)
-        best = component(g, int(np.bincount(labels).argmax()))
+        pieces = components(g, range(labels.max() + 1))
+        best = pieces[np.bincount(labels).argmax()]
         assert lcc == best and np.array_equal(lcc.node_origin, best.node_origin)
         u, v = g.endpoints()
-        for c in range(labels.max() + 1):
-            comp = component(g, c)
+        for c, comp in enumerate(pieces):
+            [alone] = components(g, [c])
+            assert alone == comp and np.array_equal(alone.node_origin, comp.node_origin)
             nodes = np.flatnonzero(labels == c) + 1
             assert np.array_equal(comp.node_origin, nodes)
             # an event log's components come from its latest state, so an
@@ -264,6 +270,30 @@ def test_components_hold_the_records_inside_them(fmt, weights):
             assert np.array_equal(comp.node_origin[cv - 1], v[inside])
             if inside.any() and g.weight is not None:
                 assert np.array_equal(comp.weight, g.weight[inside])
+
+
+def _calls(node, owner=None):
+    """``(innermost enclosing function, call)`` for every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield owner, child
+        yield from _calls(child, owner)
+
+
+def test_one_component_extractor_and_one_bipartivity_base():
+    renumbered, stripped = [], []
+    for path in sorted(Path(graph.__file__).parent.glob("*.py")):
+        for owner, call in _calls(ast.parse(path.read_text())):
+            if any(k.arg == "node_origin" for k in call.keywords):
+                renumbered.append(f"{path.name}:{owner}")
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if path.name == "stats.py" and name == "strip_weights":
+                stripped.append(owner)
+    assert renumbered == ["graph.py:components"]
+    assert stripped == ["_bipartivity_base"]
 
 
 def test_handshake_property(rng=np.random.default_rng(5)):

@@ -192,3 +192,21 @@ def test_frustration_over_many_components_matches_exact(seed, directed):
     base = undirected(dataclasses.replace(g, weights=WeightType.POSITIVE, weight=None))
     assert _min_frustrated_edges(base, DEFAULT_OPTIONS) == (want, True)
     assert compute(g, "frustration").value == pytest.approx(want / len(g.src))
+
+
+def test_frustration_cuts_out_its_components_in_one_pass(monkeypatch):
+    # 2,000 disjoint triangles: an unweighted loopless undirected graph is its
+    # own bipartivity base, and each of its components is odd
+    tri = np.arange(2000)[:, None] * 3 + np.array([1, 2, 3])
+    base = Graph(fmt=Format.UNDIRECTED, weights=WeightType.UNWEIGHTED, n1=6000, n2=None,
+                 src=tri.ravel(), dst=np.roll(tri, -1, axis=1).ravel())
+    select, rows_seen = Graph.select, []
+
+    def counting_select(self, rows=slice(None), **fields):
+        rows_seen.append(len(self.src) if isinstance(rows, slice) else np.size(rows))
+        return select(self, rows, **fields)
+
+    monkeypatch.setattr(Graph, "select", counting_select)
+    assert _min_frustrated_edges(base, DEFAULT_OPTIONS) == (2000, True)
+    # one whole-graph mask per component would be 2,000 x 6,000 entries
+    assert len(rows_seen) == 2000 and sum(rows_seen) <= len(base.src) == 6000
