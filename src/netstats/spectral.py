@@ -60,7 +60,6 @@ _NEEDS_INVERSE = {
     MatrixKind.STOCHASTIC,
     MatrixKind.STOCHASTIC_COL,
     MatrixKind.STOCHASTIC_LAPLACIAN,
-    MatrixKind.SIGNLESS_LAPLACIAN,
 }
 
 _SYMMETRIC_KINDS = {

@@ -10,6 +10,10 @@ Count statistics (wedges, claws, crosses, triangles, squares, 4-tours)
 operate on the underlying simple loopless graph; distance and algebraic
 statistics operate on the largest connected component, ignoring edge
 directions for connectivity and shortest paths.
+
+A statistic reads the matrices and passes that its :class:`Graph` and
+:class:`Workspace` hold: signed clustering runs the one triangle pass with
+sign values, and frustration reads the graph's pattern and component labels.
 """
 
 from __future__ import annotations
@@ -173,11 +177,13 @@ class Workspace:
     @cached_property
     def signed_triple_trace(self) -> float:
         """Trace of S^3 for the sign matrix S of the simple loopless graph."""
-        # loops go after the signs are taken: a rating network's weights are
-        # centred on the mean of all its records, loops included
+        # S is taken before the loops go: a rating network's weights are
+        # centred on the mean of all its records, loops included.  The
+        # pattern has no loops, so the diagonal of S is never read.  Each
+        # triangle is six closed 3-walks, and the pass credits it to three
+        # nodes.
         signs = undirected(self.g).adjacency.sign()
-        signs.setdiag(0)
-        return _signed_triple_trace(signs)
+        return 2.0 * float(_triangles_per_node(self.pattern, signs).sum())
 
 
 def _bipartivity_base(g: Graph) -> Graph:
@@ -185,7 +191,7 @@ def _bipartivity_base(g: Graph) -> Graph:
     # orientations are folded after the weights are stripped: stripping an
     # event log replays it per ordered pair
     g = undirected(strip_weights(g))
-    if g.is_bipartite or not np.any(g.src == g.dst):
+    if not g.allows_loops or not np.any(g.src == g.dst):
         return g
     return g.select(g.src != g.dst)
 
@@ -307,9 +313,8 @@ def stat_cocos(ws) -> StatisticValue:
     g = ws.g
     if not g.is_directed:
         raise IncompatibleGraphError("strong components require a directed graph")
-    a, b = g.pairs.endpoints()
-    adj = sparse.csr_array((np.ones(len(a)), (a - 1, b - 1)), shape=(g.n, g.n))
-    _, labels = connected_components(adj, directed=True, connection="strong")
+    # a zero-sum pair keeps its explicit entry, and csgraph counts it as an arc
+    _, labels = connected_components(g.adjacency, directed=True, connection="strong")
     return StatisticValue("cocos", int(np.bincount(labels).max()))
 
 
@@ -354,7 +359,7 @@ def stat_tour4(ws) -> StatisticValue:
     return StatisticValue("tour4", 8 * q + 4 * ws.wedge_count + 2 * m, SIMPLE)
 
 
-_CHUNK_WORK = 4_000_000  # bound on intermediate sparse-product entries
+_CHUNK_WORK = 1_000_000  # bound on intermediate sparse-product entries
 
 
 def _row_chunks(work: np.ndarray, bound: int = _CHUNK_WORK):
@@ -392,7 +397,7 @@ def _square_count(ws) -> int:
     return q
 
 
-def _triangles_per_node(pattern) -> np.ndarray:
+def _triangles_per_node(pattern, values=None) -> np.ndarray:
     """Triangles through each node, from the degree-ordered orientation.
 
     F points each edge from its lower (degree, id) end to its higher one
@@ -402,6 +407,9 @@ def _triangles_per_node(pattern) -> np.ndarray:
     sums z.  (Fᵀ@F)∘F counts it at (y, z), and its row sums credit y.  No
     node has more than sqrt(2m) out-neighbours in F, which bounds both
     products.
+
+    With ``values``, each edge of F carries ``values[row, col]`` as an
+    integer instead of 1, and a node is credited each triangle's product.
     """
     n = pattern.shape[0]
     out = np.zeros(n, dtype=np.int64)
@@ -411,16 +419,17 @@ def _triangles_per_node(pattern) -> np.ndarray:
     rows = np.repeat(np.arange(n), deg)
     cols = pattern.indices
     up = (deg[rows] < deg[cols]) | ((deg[rows] == deg[cols]) & (rows < cols))
-    fwd = sparse.csr_array(
-        (np.ones(int(up.sum()), dtype=np.int64), (rows[up], cols[up])), shape=(n, n)
-    )
-    out_deg = np.diff(fwd.indptr).astype(np.int64)
-    for lo, hi in _row_chunks(fwd @ out_deg):
+    src, dst = rows[up], cols[up]
+    data = np.ones(len(src)) if values is None else values[src, dst]
+    fwd = sparse.csr_array((data.astype(np.int64), (src, dst)), shape=(n, n))
+    # work per row counts entries, whatever they carry
+    out_deg = np.bincount(src, minlength=n)
+    for lo, hi in _row_chunks(np.bincount(src, out_deg[dst], minlength=n)):
         closed = (fwd[lo:hi] @ fwd).multiply(fwd[lo:hi])
         out[lo:hi] += closed.sum(axis=1)
         out += closed.sum(axis=0)
     back = fwd.T.tocsr()
-    for lo, hi in _row_chunks(back @ out_deg):
+    for lo, hi in _row_chunks(np.bincount(dst, out_deg[src], minlength=n)):
         out[lo:hi] += (back[lo:hi] @ fwd).multiply(fwd[lo:hi]).sum(axis=1)
     return out
 
@@ -589,18 +598,6 @@ def stat_clusco_signed_rel(ws) -> StatisticValue:
         return _nan("clusco_signed_rel", SIMPLE)
     balance = ws.signed_triple_trace / 6
     return StatisticValue("clusco_signed_rel", balance / t, SIMPLE)
-
-
-def _signed_triple_trace(signs) -> float:
-    if signs.nnz == 0:
-        return 0.0
-    deg = np.diff(signs.indptr).astype(np.int64)
-    work = np.abs(signs) @ deg
-    total = 0.0
-    for lo, hi in _row_chunks(work):
-        block = signs[lo:hi] @ signs
-        total += float(block.multiply(signs[lo:hi]).sum())
-    return total
 
 
 # -- distances ---------------------------------------------------------------
@@ -885,12 +882,12 @@ def _laplacian_smallest(g: Graph, k: int, opts: Options) -> np.ndarray:
 
 @statistic("frustration")
 def stat_frustration(ws) -> StatisticValue:
-    base = _bipartivity_base(ws.g)
-    if base.m == 0:
+    m = _bipartivity_base(ws.g).m
+    if m == 0:
         return StatisticValue("frustration", 0.0, FULL)
-    f, exact = _min_frustrated_edges(base, ws.opts)
+    f, exact = _min_frustrated_edges(ws.g, ws.opts)
     return StatisticValue(
-        "frustration", f / base.m, FULL,
+        "frustration", f / m, FULL,
         "exact" if exact else "estimated",
         {} if exact else {"bound": "upper"},
     )
@@ -898,11 +895,15 @@ def stat_frustration(ws) -> StatisticValue:
 
 def _min_frustrated_edges(g: Graph, opts: Options) -> tuple[int, bool]:
     """Minimum same-side edge weight over all bipartitions, per component,
-    of a loopless undirected graph such as a :func:`_bipartivity_base`; one
-    :func:`components` call cuts out every component that is searched."""
+    of the :func:`_bipartivity_base` of ``g``.
+
+    One :func:`components` call cuts the components that are not
+    2-colourable out of ``g``, and only those pieces are based and searched;
+    a piece's base is the same graph as that component of the whole base.
+    """
     total, all_exact = 0, True
-    # a 2-colourable component needs no frustrated edge: search only the others
-    for comp in components(g, np.flatnonzero(~_two_colourable(g))):
+    for piece in components(g, np.flatnonzero(~_two_colourable(g))):
+        comp = _bipartivity_base(piece)
         ea, eb = (x - 1 for x in comp.pairs.endpoints())
         if comp.n <= 20:
             total += _frustration_exact(comp.n, ea, eb, comp.pairs.sums)
@@ -914,21 +915,17 @@ def _min_frustrated_edges(g: Graph, opts: Options) -> tuple[int, bool]:
 
 
 def _two_colourable(g: Graph) -> np.ndarray:
-    """Per component label of an undirected graph: whether it is bipartite.
+    """Per label of ``g.component_labels``: whether the component has no odd
+    cycle, orientations and loops ignored.
 
-    In the bipartite double cover, node (v, s) is v + s * n and each edge
-    {a, b} joins (a, 0) to (b, 1) and (a, 1) to (b, 0), for 0-based ids.  A
-    component is 2-colourable exactly when it has no odd cycle, that is,
-    when no path of the cover leads from (v, 0) to (v, 1).
+    The bipartite double cover of the pattern P is [[0, P], [P, 0]]: node
+    (v, s) is v + s * n, and each edge {a, b} joins (a, 0) to (b, 1) and
+    (a, 1) to (b, 0).  A component is 2-colourable exactly when no path of
+    the cover leads from (v, 0) to (v, 1).
     """
-    n, labels = g.n, g.component_labels
-    a, b = (x - 1 for x in g.pairs.endpoints())
-    cover = sparse.coo_array(
-        (np.ones(2 * len(a), dtype=np.int8),
-         (np.concatenate([a, a + n]), np.concatenate([b + n, b]))),
-        shape=(2 * n, 2 * n),
-    )
-    _, cover_labels = connected_components(cover, directed=False)
+    n, labels, p = g.n, g.component_labels, g.pattern
+    _, cover_labels = connected_components(sparse.block_array([[None, p], [p, None]]),
+                                           directed=False)
     bipartite = np.zeros(labels.max() + 1, dtype=bool)
     bipartite[labels] = cover_labels[:n] != cover_labels[n:]
     return bipartite

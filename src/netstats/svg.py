@@ -78,16 +78,14 @@ def _axes(series: PlotSeries, x, y):
 
 
 def _xy_columns(series: PlotSeries):
-    cols = list(series.columns.items())
-    named = dict(cols)
+    named = series.columns
     if series.kind == "out-in-comparison":
-        return named["outdegree"], named["indegree"], "outdegree", "indegree"
+        return named["outdegree"], named["indegree"]
     if series.kind == "assortativity-plot":
-        return named["degree"], named["neighbor_avg_degree"], "degree", "avg neighbor degree"
+        return named["degree"], named["neighbor_avg_degree"]
     if series.kind.startswith("drawing-"):
-        return named["x"], named["y"], "x", "y"
-    (xn, xv), (yn, yv) = cols[0], cols[1]
-    return xv, yv, xn, yn
+        return named["x"], named["y"]
+    return tuple(named.values())[:2]
 
 
 def render_svg(series: PlotSeries) -> bytes:
@@ -101,7 +99,7 @@ def render_svg(series: PlotSeries) -> bytes:
     elif series.kind == "temporal-distance-distribution":
         body, ax, ay = _render_temporal_distance(series)
     else:
-        x, y, xn, yn = _xy_columns(series)
+        x, y = _xy_columns(series)
         ax, ay = _axes(series, x, y)
         if series.kind in _BAR_KINDS:
             body = _bars(series, x, y, ax, ay)

@@ -296,6 +296,14 @@ def test_one_component_extractor_and_one_bipartivity_base():
     assert stripped == ["_bipartivity_base"]
 
 
+def test_statistics_build_matrices_only_in_the_triangle_pass():
+    # every other statistic reads the matrices its graph already holds
+    path = Path(graph.__file__).parent / "stats.py"
+    builders = {owner for owner, call in _calls(ast.parse(path.read_text()))
+                if getattr(call.func, "attr", None) in ("csr_array", "coo_array")}
+    assert builders == {"_triangles_per_node"}
+
+
 def test_handshake_property(rng=np.random.default_rng(5)):
     for fmt, weights in ALL_COMBOS:
         g = random_graph(rng, fmt, weights)

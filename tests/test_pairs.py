@@ -6,7 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from netstats.graph import Format, Graph, WeightType, dedupe, latest_state, undirected
+from netstats.graph import (
+    Format, Graph, PairIndex, WeightType, dedupe, latest_state, undirected,
+)
 from netstats.io import Header, validate
 from netstats.plots import plot_multiplicity
 from netstats.stats import (
@@ -15,6 +17,7 @@ from netstats.stats import (
     _min_frustrated_edges,
     Workspace,
     compute,
+    stat_frustration,
 )
 
 from gen import ALL_COMBOS, random_graph
@@ -210,3 +213,23 @@ def test_frustration_cuts_out_its_components_in_one_pass(monkeypatch):
     assert _min_frustrated_edges(base, DEFAULT_OPTIONS) == (2000, True)
     # one whole-graph mask per component would be 2,000 x 6,000 entries
     assert len(rows_seen) == 2000 and sum(rows_seen) <= len(base.src) == 6000
+
+
+def test_frustration_indexes_only_its_odd_components(monkeypatch):
+    # a directed 2,000-node path and, apart from it, one directed triangle
+    path = np.arange(1, 2000)
+    g = Graph(fmt=Format.DIRECTED, weights=WeightType.UNWEIGHTED, n1=2003, n2=None,
+              src=np.concatenate([path, [2001, 2002, 2003]]),
+              dst=np.concatenate([path + 1, [2002, 2003, 2001]]))
+    ws = Workspace(g)
+    ws.pattern, ws.lcc  # the passes a batch run has made before frustration
+    build, indexed = PairIndex.build.__func__, []
+
+    def counting_build(cls, keys, base, weights):
+        indexed.append(len(keys))
+        return build(cls, keys, base, weights)
+
+    monkeypatch.setattr(PairIndex, "build", classmethod(counting_build))
+    assert stat_frustration(ws).value == 1 / 2002
+    # only the triangle's three records are grouped by pair
+    assert sum(indexed) <= 3

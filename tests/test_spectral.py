@@ -147,6 +147,15 @@ def test_signless_laplacian_nonnegative():
     assert np.all(vals >= -1e-9)
 
 
+def test_signless_laplacian_keeps_isolated_nodes():
+    # K = D + A needs no inverse, so an isolated node is a zero row, not dropped
+    g = graph_from_pairs([(1, 2), (2, 3)], 4)
+    op = build_operator(g, MatrixKind.SIGNLESS_LAPLACIAN)
+    assert op.dim == 4 and list(op.nodes) == [1, 2, 3, 4]
+    vals = np.sort(eig_symmetric(op, k=op.dim, order="smallest").values)
+    assert np.allclose(vals, [0, 0, 1, 3], atol=1e-9)
+
+
 def test_directed_cycle_complex_eigenvalues():
     g = graph_from_pairs([(1, 2), (2, 3), (3, 1)], 3, fmt=Format.DIRECTED)
     op = build_operator(g, MatrixKind.ADJACENCY)

@@ -181,6 +181,14 @@ def test_cocos_oracle():
     assert val(g, "coco") == 4
 
 
+def test_cocos_counts_a_zero_sum_pair_as_an_arc():
+    # arcs 1->2 of weights +1 and -1 sum to an explicit zero in the adjacency
+    g = graph_from_pairs([(1, 2), (1, 2), (2, 1)], 2, fmt=Format.DIRECTED,
+                         weights=WeightType.MULTISIGNED, w=[1, -1, 1])
+    assert g.adjacency[0, 1] == 0
+    assert val(g, "cocos") == 2
+
+
 def test_count_statistics_examples():
     assert val(k3(), "twostars") == 3
     assert val(k3(), "threestars") == 0
@@ -380,8 +388,14 @@ def test_signed_clustering_pair_shares_one_triple_pass(monkeypatch):
     g = graph_from_pairs([(1, 2), (2, 3), (1, 3), (3, 4)], 4,
                          weights=WeightType.SIGNED, w=[-1, 1, 1, -1])
     calls = []
-    trace = stats._signed_triple_trace
-    monkeypatch.setattr(stats, "_signed_triple_trace", lambda s: calls.append(1) or trace(s))
+    count = stats._triangles_per_node
+
+    def counting(pattern, values=None):
+        if values is not None:
+            calls.append(1)
+        return count(pattern, values)
+
+    monkeypatch.setattr(stats, "_triangles_per_node", counting)
     rows = dict(compute_all(g, names=["clusco_signed", "clusco_signed_rel"]))
     assert len(calls) == 1
     assert rows["clusco_signed"].value == val(g, "clusco_signed")

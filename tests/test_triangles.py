@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from netstats import stats
-from netstats.graph import IncompatibleGraphError
+from netstats.graph import Format, IncompatibleGraphError, undirected
 from netstats.plots import plot_clustering_distribution
 from netstats.stats import Workspace, compute
 
@@ -98,3 +98,26 @@ def test_pieces_of_the_pass_add_up(monkeypatch):
     per_node = nx.triangles(oracle)
     np.testing.assert_array_equal(stats._triangles_per_node(g.pattern),
                                   [per_node[v] for v in oracle.nodes])
+
+
+def test_signed_triple_trace_matches_dense_trace():
+    # every unipartite format x negative weight type; the counters make sure
+    # the graphs hold loops, parallel and reciprocal arcs and zero-sum pairs
+    rng = np.random.default_rng(23)
+    seen = dict.fromkeys(["loops", "parallel", "reciprocal", "zero-sum"], 0)
+    for fmt, weights in ALL_COMBOS:
+        if fmt is Format.BIPARTITE or not weights.allows_negative:
+            continue
+        for _ in range(40):
+            g = random_graph(rng, fmt, weights, n_max=9, m_max=60)
+            adj = undirected(g).adjacency
+            signs = np.sign(adj.toarray())
+            np.fill_diagonal(signs, 0)
+            assert Workspace(g).signed_triple_trace == np.trace(signs @ signs @ signs)
+            seen["loops"] += int(np.sum(g.src == g.dst))
+            seen["parallel"] += len(g.src) - len(g.pairs.keys)
+            if g.is_directed:
+                a, b = g.pairs.endpoints()
+                seen["reciprocal"] += int(np.sum(g.pairs.reciprocated() & (a != b)))
+            seen["zero-sum"] += int(np.sum(adj.data == 0))
+    assert all(seen.values()), seen
