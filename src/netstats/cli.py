@@ -14,15 +14,13 @@ are looked up in their catalogs, ``stats.statistic_names()`` and
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import multiprocessing
 import os
 import sys
 import tempfile
 from pathlib import Path
 
-from . import plots as _plots
-from . import stats as _stats
+# the statistics, spectra and plots (and scipy beneath them) are imported by
+# the commands that run them, so validate and transform load numpy alone
 from .graph import (
     GraphError,
     absolute,
@@ -33,7 +31,6 @@ from .graph import (
     strip_weights,
 )
 from .io import DatasetError, parse_meta, parse_out, validate, write_out
-from .spectral import SPECTRUM_K
 from .svg import render_svg
 
 
@@ -94,8 +91,11 @@ def _atomic_write(path: Path, data: bytes):
         raise
 
 
-def _options(args) -> _stats.Options:
-    return _stats.Options(
+def _options(args):
+    """The ``stats.Options`` that the parsed arguments set."""
+    from . import stats
+
+    return stats.Options(
         exact_threshold=args.exact_threshold,
         sample_sources=args.sample_sources,
         tol=args.tol,
@@ -139,7 +139,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    names = _selected(args.names, args.stats, args.all, _stats.statistic_names(), "statistic")
+    from . import stats  # before any fork: the workers inherit it
+
+    names = _selected(args.names, args.stats, args.all, stats.statistic_names(), "statistic")
     opts = _options(args)
     outdir = args.out or os.environ.get("NETSTAT_OUT")
     datasets = _discover(args.dataset)
@@ -173,12 +175,14 @@ def _selected(positional, flag_value, all_flag, known, what) -> list[str]:
 
 
 def _stats_one(network, path, names, opts, outdir, jobs=1) -> tuple[str, int]:
+    from . import stats
+
     try:
         graph, _header, _meta = _load(Path(path))
         if jobs > 1:
             text = _stats_forked(graph, names, opts, jobs)
         else:
-            text = _stats.statistics_tsv(_stats.compute_all(graph, opts, names=names))
+            text = stats.statistics_tsv(stats.compute_all(graph, opts, names=names))
     except (DatasetError, GraphError) as exc:  # a graph without nodes has no Workspace
         return f"error: {network}: {exc}\n", 1
     if outdir:
@@ -196,35 +200,43 @@ def _stats_forked(graph, names, opts, jobs) -> str:
     The rows come back in the order of ``names``, so the text is the serial
     run's whatever the scheduling.
     """
+    from . import stats
+
     global _forked_ws
-    ws = _stats.Workspace(graph, opts)
+    ws = stats.Workspace(graph, opts)
     ws.pattern, ws.lcc  # every statistic reads both: build them once, before the fork
     _forked_ws = ws
     try:
         rows = _run_parallel(jobs, names, _stat_row)
     finally:
         _forked_ws = None
-    return _stats.TSV_HEADER + "".join(rows)
+    return stats.TSV_HEADER + "".join(rows)
 
 
 def _stat_row(name) -> str:
+    from . import stats
+
     # rendered in the worker: not every exception survives the trip back
     # (ArpackNoConvergence pickles but does not unpickle)
-    return _stats.statistics_row(name, _stats.compute_row(_forked_ws, name))
+    return stats.statistics_row(name, stats.compute_row(_forked_ws, name))
 
 
 # -- plot --------------------------------------------------------------------
 
 def _plot_series(kind, ws, k):
     """The files of one plot kind, as ``plots.PLOTS`` declares them."""
+    from . import plots
+
     # a function of its own: perfbench/trace_run.py wraps it to time each kind
-    return _plots.PLOTS[kind](ws, k)
+    return plots.PLOTS[kind](ws, k)
 
 
 def _plot_one(network, path, kinds, opts, outdir, k, all_mode) -> tuple[str, int]:
+    from . import stats
+
     try:
         graph, _header, _meta = _load(Path(path))
-        ws = _stats.Workspace(graph, opts)
+        ws = stats.Workspace(graph, opts)
     except (DatasetError, GraphError) as exc:  # a graph without nodes has no Workspace
         return f"error: {network}: {exc}\n", 1
     messages = []
@@ -251,7 +263,9 @@ def _plot_one(network, path, kinds, opts, outdir, k, all_mode) -> tuple[str, int
 
 
 def cmd_plot(args) -> int:
-    kinds = _selected(args.kinds, args.plots, args.all, _plots.PLOTS, "plot kind")
+    from . import plots  # before any fork: the workers inherit it
+
+    kinds = _selected(args.kinds, args.plots, args.all, plots.PLOTS, "plot kind")
     outdir = args.out or os.environ.get("NETSTAT_OUT")
     if not outdir:
         raise CliError("plots need an output directory (--out or NETSTAT_OUT)")
@@ -325,6 +339,9 @@ def _run_parallel(jobs, tasks, worker=_worker):
     jobs = _worker_count(jobs, len(tasks))
     if jobs <= 1:
         return [worker(t) for t in tasks]
+    import concurrent.futures
+    import multiprocessing
+
     # forked workers start with the modules already imported; the package
     # pins OpenBLAS to one thread, so the process has no threads to fork
     context = multiprocessing.get_context("fork")
@@ -332,14 +349,20 @@ def _run_parallel(jobs, tasks, worker=_worker):
         return list(pool.map(worker, tasks))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The command line's parser.  ``stats`` and ``plot`` read their defaults
+    and plot kinds from the statistics and plot modules, so their arguments
+    are added only when ``command`` names them or is None (every subcommand)."""
     parser = _Parser(prog="netstats", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        from . import stats
+        from .spectral import SPECTRUM_K
+
         p.add_argument("dataset", help="an out.* file or a directory of datasets")
         p.add_argument("--out", default=None, help="output directory (default $NETSTAT_OUT)")
-        defaults = _stats.DEFAULT_OPTIONS
+        defaults = stats.DEFAULT_OPTIONS
         p.add_argument("--exact-threshold", type=int, default=defaults.exact_threshold)
         p.add_argument("--sample-sources", type=int, default=defaults.sample_sources)
         p.add_argument("--tol", type=float, default=defaults.tol)
@@ -353,18 +376,22 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_validate)
 
     s = sub.add_parser("stats", help="compute statistics to TSV")
-    common(s)
-    s.add_argument("names", nargs="*", default=None, help="statistic names")
-    s.add_argument("--stats", default=None, help="comma separated statistic names")
-    s.add_argument("--all", action="store_true", help="every applicable statistic")
     s.set_defaults(fn=cmd_stats)
+    if command in (None, "stats"):
+        common(s)
+        s.add_argument("names", nargs="*", default=None, help="statistic names")
+        s.add_argument("--stats", default=None, help="comma separated statistic names")
+        s.add_argument("--all", action="store_true", help="every applicable statistic")
 
     p = sub.add_parser("plot", help="emit plot data (TSV) and SVG renderings")
-    common(p)
-    p.add_argument("kinds", nargs="*", default=None, help=f"kinds: {', '.join(_plots.PLOTS)}")
-    p.add_argument("--plots", default=None, help="comma separated plot kinds")
-    p.add_argument("--all", action="store_true", help="every applicable plot")
     p.set_defaults(fn=cmd_plot)
+    if command in (None, "plot"):
+        from . import plots
+
+        common(p)
+        p.add_argument("kinds", nargs="*", default=None, help=f"kinds: {', '.join(plots.PLOTS)}")
+        p.add_argument("--plots", default=None, help="comma separated plot kinds")
+        p.add_argument("--all", action="store_true", help="every applicable plot")
 
     t = sub.add_parser("transform", help="apply a graph transform, writing new dataset files")
     t.add_argument("name", choices=sorted(TRANSFORMS))
@@ -375,7 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the first argument that is not an option names the subcommand (no
+    # top-level option takes a value)
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
         for option in ("jobs", "k", "sample_sources"):  # not on validate or transform

@@ -38,10 +38,12 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+
+if TYPE_CHECKING:  # imported where a matrix is built: validate and transform need none
+    from scipy import sparse
 
 
 class GraphError(Exception):
@@ -440,6 +442,8 @@ class Graph:
         sum, so the matrix is exactly symmetric for undirected and bipartite
         graphs.  Dynamic graphs use their latest state.
         """
+        from scipy import sparse
+
         if self.weights is WeightType.DYNAMIC:
             return self.static.adjacency
         pairs = self.pairs
@@ -464,6 +468,8 @@ class Graph:
     @cached_property
     def pattern(self) -> sparse.csr_array:
         """0/1 symmetric adjacency of the underlying simple loopless graph."""
+        from scipy import sparse
+
         if self.weights is WeightType.DYNAMIC:
             return self.static.pattern
         a, b = self.pairs.endpoints()
@@ -480,11 +486,30 @@ class Graph:
 
     @cached_property
     def component_labels(self) -> np.ndarray:
-        """Weakly connected component label per node (0-based combined index)."""
-        if self.n == 0:
-            return np.zeros(0, dtype=np.int64)
-        _, labels = connected_components(self.pattern, directed=False)
-        return _frozen(labels, np.int64)
+        """Weakly connected component label per node (0-based combined index).
+
+        Components are numbered in the order of their smallest node.  Min-label
+        hooking (Shiloach and Vishkin): each round hangs the larger root of
+        every pair whose roots differ under the smaller one, then jumps every
+        node to its root, so each node ends on the smallest node of its
+        component.  Dynamic graphs use their latest state.
+        """
+        a, b = (x - 1 for x in self.static.pairs.endpoints())
+        root = np.arange(self.n)
+        while True:
+            ra, rb = root[a], root[b]
+            apart = ra != rb
+            if not apart.any():
+                break
+            a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+            np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+            while True:
+                jumped = root[root]
+                if np.array_equal(jumped, root):
+                    break
+                root = jumped
+        rank = np.cumsum(root == np.arange(self.n)) - 1
+        return _frozen(rank[root], np.int64)
 
 
 def _col_eq(a, b):

@@ -551,6 +551,12 @@ def write_meta(meta: Metadata) -> bytes:
     return ("\n".join(meta.raw_lines) + "\n").encode("utf-8") if meta.raw_lines else b""
 
 
+def _reciprocal_pairs(pairs) -> int:
+    """Unordered non-loop pairs of ``Graph.pairs`` whose two arcs are both present."""
+    a, b = pairs.endpoints()
+    return int(np.count_nonzero(pairs.reciprocated() & (a != b))) // 2
+
+
 def validate(g: Graph, header: Header, meta: Metadata | None = None) -> list[Finding]:
     """Check a parsed dataset against the format rules; findings are data.
 
@@ -585,8 +591,7 @@ def validate(g: Graph, header: Header, meta: Metadata | None = None) -> list[Fin
         warn("#zeroweight is only used for positively weighted and signed networks")
 
     if g.fmt is Format.DIRECTED:
-        a, b = g.pairs.endpoints()
-        reciprocal = int(np.count_nonzero(g.pairs.reciprocated() & (a != b))) // 2
+        reciprocal = _reciprocal_pairs(g.pairs)
         if "#nonreciprocal" in tags and reciprocal > 0:
             err("#nonreciprocal set but reciprocal edges exist")
         if "#acyclic" not in tags and "#nonreciprocal" not in tags and reciprocal < 2:
@@ -615,7 +620,10 @@ def validate(g: Graph, header: Header, meta: Metadata | None = None) -> list[Fin
         sizes = np.bincount(labels)
         if sizes.max() < 0.5 * g.n:
             warn("no giant connected component (largest spans <50% of nodes)")
-        unique_m = g.pattern.nnz // 2
+        # edges of the simple loopless graph: non-loop pairs, an arc pair once
+        unique_m = int(np.count_nonzero(np.not_equal(*g.static.pairs.endpoints())))
+        if g.is_directed:
+            unique_m -= reciprocal if g.static is g else _reciprocal_pairs(g.static.pairs)
         if unique_m == g.n - len(sizes):
             warn("network is a forest (no cycles)")
         if g.fmt is Format.BIPARTITE:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graph import GraphError
-from .plots import PlotSeries
+
+if TYPE_CHECKING:  # annotations only: the command line renders without loading plots
+    from .plots import PlotSeries
 
 WIDTH, HEIGHT = 640, 480
 MARGIN = 60

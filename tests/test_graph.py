@@ -1,5 +1,6 @@
 import ast
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -244,6 +245,61 @@ def test_lcc_is_connected_and_largest(rng=np.random.default_rng(11)):
         assert ncomp == 1 or lcc.n == 1
         sizes = np.bincount(g.component_labels)
         assert lcc.n == sizes.max()
+
+
+def _scipy_labels(g):
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(g.pattern, directed=False)[1]
+
+
+def test_component_labels_match_scipy_on_every_format_and_weight_type():
+    rng = np.random.default_rng(23)
+    seen = {"isolated": 0, "loop": 0, "dropped": 0}
+    for fmt, weights in ALL_COMBOS:
+        for sizes in [(30, 80)] * 6 + [(40, 15)] * 6:  # sparse ones leave nodes isolated
+            g = random_graph(rng, fmt, weights, *sizes)
+            assert np.array_equal(g.component_labels, _scipy_labels(g))
+            assert g.component_labels.dtype == np.int64
+            static = g.static
+            seen["isolated"] += bool(np.any(static.degrees == 0))
+            seen["loop"] += bool(np.any(static.src == static.dst)) and not g.is_bipartite
+            seen["dropped"] += len(static.pairs.keys) < len(g.pairs.keys)
+    assert min(seen.values()) >= 5, seen
+
+
+class _CountingMinimum:
+    """``np.minimum`` whose ``at`` (one hooking round of the labeller) is counted."""
+
+    def __init__(self):
+        self.rounds = 0
+
+    def __call__(self, *args):
+        return np.minimum(*args)
+
+    def at(self, *args):
+        self.rounds += 1
+        return np.minimum.at(*args)
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed", "random", "interleaved"])
+def test_component_labels_of_a_million_node_path(order, monkeypatch):
+    n = 1_000_000
+    zigzag = np.empty(n, dtype=np.int64)  # 1, n, 2, n - 1, ...
+    zigzag[0::2], zigzag[1::2] = np.arange(n // 2), np.arange(n - 1, n // 2 - 1, -1)
+    visit = {"sorted": np.arange(n), "reversed": np.arange(n)[::-1],
+             "random": np.random.default_rng(5).permutation(n), "interleaved": zigzag}[order]
+    # one more node, isolated, so that two components are numbered
+    g = Graph(fmt=Format.UNDIRECTED, weights=WeightType.UNWEIGHTED, n1=n + 1, n2=None,
+              src=visit[:-1] + 1, dst=visit[1:] + 1)
+    g.pairs  # built before numpy is swapped for the counting one
+    minimum = _CountingMinimum()
+    monkeypatch.setattr(graph, "np", SimpleNamespace(**{**vars(np), "minimum": minimum}))
+    labels = g.component_labels
+    monkeypatch.undo()
+    assert np.array_equal(labels, _scipy_labels(g))
+    assert np.bincount(labels).tolist() == [n, 1]
+    assert 1 <= minimum.rounds <= 15
 
 
 @pytest.mark.parametrize("fmt, weights", ALL_COMBOS)

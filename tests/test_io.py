@@ -175,6 +175,30 @@ def test_validate_bipartite_star_warning():
     assert any("star" in f.message or "forest" in f.message for f in warnings)
 
 
+def test_validate_forest_warning_counts_each_undirected_edge_once():
+    # reference: the distinct edges of the simple loopless graph, which the
+    # pattern holds twice each; a reciprocated arc pair is one edge
+    rng = np.random.default_rng(31)
+    forests = {True: 0, False: 0}
+    for fmt, weights in ALL_COMBOS:
+        for sizes in [(12, 14)] * 8 + [(20, 8)] * 8:
+            g = random_graph(rng, fmt, weights, *sizes)
+            if g.n == 0 or len(g.src) == 0:
+                continue
+            forest = g.pattern.nnz // 2 == g.n - (g.component_labels.max() + 1)
+            warned = any("forest" in f.message for f in validate(g, Header(fmt, weights)))
+            assert warned == forest, (fmt, weights)
+            forests[forest] += 1
+    assert min(forests.values()) >= 50, forests
+    # a reciprocated arc pair closes no cycle; two arcs of a log's pair may
+    # be gone from its latest state
+    arcs = graph_from_pairs([(1, 2), (2, 1), (2, 3)], 3, fmt=Format.DIRECTED)
+    log = graph_from_pairs([(1, 2), (2, 3), (3, 1), (3, 1)], 3, fmt=Format.DIRECTED,
+                           weights=WeightType.DYNAMIC, w=[1, 1, 1, -1])
+    for g in (arcs, log):
+        assert any("forest" in f.message for f in validate(g, Header(g.fmt, g.weights)))
+
+
 def test_finding_row_format():
     assert Finding("error", "boom", 3).as_row() == "error\t3\tboom"
 

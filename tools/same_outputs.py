@@ -8,9 +8,11 @@ once, with the seed below, by ``perfbench/workloads.py``; the units and
 their plot kinds come from ``perfbench/run.py``.  Both trees then run the
 same commands on them: ``validate``, ``stats``, each unit's benchmark plot
 kinds, ``plot --all`` (except on directed-300k, where ``complex-eigenvalues``
-takes minutes) and ``transform lcc`` where the benchmark runs it.  Every
-output file, exit code, stdout and stderr must be byte-identical.  The
-differences are printed, and the exit code is 1 when there are any.
+takes minutes) and every transform, on every unit, and ``--help`` of the top
+level and of each subcommand.  Every output file, exit code, stdout and
+stderr must be byte-identical; a transform that does not apply to a unit is
+compared by its error.  The differences are printed, and the exit code is 1
+when there are any.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED = 301
 # plot --all on this workload's 36k-node graph runs complex-eigenvalues for minutes
 NO_PLOT_ALL = {"directed-300k"}
+SUBCOMMANDS = ("validate", "stats", "plot", "transform")
+TRANSFORMS = ("unweighted", "simple", "absolute", "negate", "lcc", "latest-state")
 
 
 def differences(a: Path, b: Path) -> list[str]:
@@ -55,7 +59,8 @@ def commands(inputs: Path) -> list[tuple[str, list[str]]]:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import run as bench
 
-    cmds = []
+    cmds = [("help", ["--help"])]
+    cmds += [(f"help.{name}", [name, "--help"]) for name in SUBCOMMANDS]
     for workload in bench.WORKLOADS:
         for i, unit in enumerate(bench.make_units(workload, SEED, inputs / workload)):
             unit.folder.mkdir(parents=True, exist_ok=True)
@@ -67,8 +72,7 @@ def commands(inputs: Path) -> list[tuple[str, list[str]]]:
                        ("plot", ["plot", path, *(unit.kinds or ["--all"])])]
             if unit.kinds is not None and workload not in NO_PLOT_ALL:
                 writing.append(("plot-all", ["plot", path, "--all"]))
-            if unit.transform:
-                writing.append(("transform", ["transform", "lcc", path]))
+            writing += [(f"transform-{name}", ["transform", name, path]) for name in TRANSFORMS]
             cmds += [(f"{label}.{what}", [*cmd, "--out", f"{label}.{what}/out"])
                      for what, cmd in writing]
     return cmds
