@@ -12,10 +12,10 @@ Symmetric solvers take one of three paths, each seeded deterministically:
 
 - a dense direct decomposition up to ``DENSE_LIMIT`` rows;
 - above it, Jacobi-preconditioned LOBPCG (Knyazev 2001) for the smallest
-  end of L and K when their diagonal is heavy-tailed: every entry positive
-  and the largest at least ``HEAVY_TAIL_RATIO`` times the mean.  There the
-  hubs widen the spectrum and Lanczos needs hundreds of iterations, while
-  the preconditioner D^{-1} removes the degree spread;
+  k <= ``LOBPCG_MAX_K`` of L and K when their diagonal is heavy-tailed:
+  every entry positive and the largest at least ``HEAVY_TAIL_RATIO`` times
+  the mean.  There the hubs widen the spectrum and Lanczos needs hundreds
+  of iterations, while the preconditioner D^{-1} removes the degree spread;
 - ARPACK's Lanczos iteration for everything else.
 
 Every path raises :class:`SpectralError` when a relative residual exceeds
@@ -42,6 +42,9 @@ DENSE_LIMIT = 500
 # d_max / d_mean on the diagonal of L or K from which LOBPCG solves the
 # smallest end; generated heavy-tailed graphs read 24-28, uniform ones below 4
 HEAVY_TAIL_RATIO = 10
+# LOBPCG holds about 15 n x k blocks against ARPACK's 20-vector basis and
+# shifted matrix copy; up to the drawing's k = 3 its peak stays below ARPACK's
+LOBPCG_MAX_K = 3
 DEFAULT_TOL = 1e-8
 DEFAULT_SEED = 42
 SPECTRUM_K = 49  # matches the 49-bin spectral distribution plots
@@ -269,7 +272,7 @@ def eig_symmetric(
 
     ``order`` selects by largest absolute value or smallest algebraic value.
     A dense decomposition is used up to DENSE_LIMIT rows; above it, LOBPCG
-    for the smallest end of a heavy-tailed L or K and ARPACK otherwise.
+    for the few smallest pairs of a heavy-tailed L or K and ARPACK otherwise.
     Residuals are relative to the operator norm.
     """
     if order not in ("largest-absolute", "smallest"):
@@ -286,7 +289,7 @@ def eig_symmetric(
     if _dense(n, k, n):  # Lanczos cannot produce a full spectrum
         vals, vecs = np.linalg.eigh(op.matrix.toarray())
         method = "dense"
-    elif order == "smallest" and _heavy_tailed(op):
+    elif order == "smallest" and k <= LOBPCG_MAX_K and _heavy_tailed(op):
         vals, vecs = _lobpcg(op, k, tol / 10, seed)
         method = "iterative"
     else:

@@ -40,10 +40,11 @@ def stubbed(monkeypatch):
 
 def test_pairs_alternate_and_summarize_in_one_schema(stubbed, tmp_path):
     out = tmp_path / "bench.json"
-    assert ab.main(["--parent", "HEAD~1", "--pairs", "4", "--seed", "7", "--seconds", "3",
+    assert ab.main(["--parent", "HEAD~1", "--pairs", "4", "--seed", "7",
                     "--workload", "powerlaw-3x6k", "--out", str(out)]) == 0
     assert [c[0] for c in stubbed] == ["parent", "change", "change", "parent"] * 2
-    assert {c[1:] for c in stubbed} == {("powerlaw-3x6k", 7, 3.0)}
+    seconds = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
+    assert {c[1:] for c in stubbed} == {("powerlaw-3x6k", 7, seconds)}
     result = json.loads(out.read_text())
     assert result["parent"] == "sha-of-HEAD~1"
     entry = result["workloads"]["powerlaw-3x6k seed 7"]

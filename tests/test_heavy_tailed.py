@@ -1,8 +1,9 @@
 """The smallest end of heavy-tailed Laplacians: LOBPCG against dense oracles.
 
-Above DENSE_LIMIT, the Laplacian and the signless Laplacian of a graph
-whose largest degree is at least HEAVY_TAIL_RATIO times the mean take
-Jacobi-preconditioned LOBPCG; every other symmetric solve takes ARPACK.
+Above DENSE_LIMIT, the few smallest pairs (k <= LOBPCG_MAX_K) of the
+Laplacian and the signless Laplacian of a graph whose largest degree is at
+least HEAVY_TAIL_RATIO times the mean take Jacobi-preconditioned LOBPCG;
+every other symmetric solve takes ARPACK.
 """
 
 import os
@@ -134,9 +135,13 @@ def test_heavy_tailed_graph_calls_lobpcg(monkeypatch, heavy):
     for name in ("alcon", "anticonflict"):
         assert isinstance(stats.compute_row(heavy, name), stats.StatisticValue)
     assert calls == {"lobpcg": 2, "eigsh": 0}
-    # the largest end of L stays with ARPACK
-    eig_symmetric(build_operator(heavy.sym_lcc, MatrixKind.LAPLACIAN), 1)
-    assert calls == {"lobpcg": 2, "eigsh": 1}
+    op = build_operator(heavy.sym_lcc, MatrixKind.LAPLACIAN)
+    eig_symmetric(op, spectral.LOBPCG_MAX_K, "smallest")  # the drawing's k
+    assert calls == {"lobpcg": 3, "eigsh": 0}
+    # the largest end of L, and a block past LOBPCG_MAX_K, stay with ARPACK
+    eig_symmetric(op, 1)
+    eig_symmetric(op, spectral.LOBPCG_MAX_K + 1, "smallest")
+    assert calls == {"lobpcg": 3, "eigsh": 2}
 
 
 def _files(root):
@@ -156,9 +161,9 @@ def test_outputs_are_byte_identical_over_runs_and_jobs(tmp_path, capsys, monkeyp
                      "--jobs", jobs]) == 0
         runs.append(_files(out))
     capsys.readouterr()
-    # five per serial run (alcon, anticonflict, the frustration seed, the
-    # Laplacian spectrum and drawing-L); forked workers count in their own copy
-    assert calls["lobpcg"] >= 10
+    # four per serial run (alcon, anticonflict, the frustration seed and
+    # drawing-L); forked workers count in their own copy
+    assert calls["lobpcg"] >= 8
     first = runs[0]
     assert Path("heavy/spectra.laplacian.heavy.tsv") in first
     assert Path("heavy/plot.drawing-L.heavy.tsv") in first

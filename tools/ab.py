@@ -6,10 +6,10 @@
 The parent's files are extracted with ``git archive``, and this checkout's
 ``src/`` and ``perfbench/`` are copied next to them, so that both sides run
 from a fresh directory of the same depth.  For each workload the two trees
-then take turns running ``perfbench/run.py --trace 0`` with the same seed,
-``--pairs`` times, the side that runs first swapping from one pair to the
-next.  Each side runs its own benchmark files, as a comparison of two
-commits does.
+then take turns running ``perfbench/run.py --trace 0`` with the same seed
+and the ``run_seconds`` of ``BENCHMARK.json``, ``--pairs`` times, the side
+that runs first swapping from one pair to the next.  Each side runs its
+own benchmark files, as a comparison of two commits does.
 
 The result is one JSON file.  Per workload it holds the run counts and
 failures, and per end-to-end metric both sides' runs, their median and
@@ -136,13 +136,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True, help="runs per side and workload")
     parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
     parser.add_argument("--seed", type=int, default=301)
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--workload", action="append",
                         help="a workload of BENCHMARK.json (repeatable; default: all)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = declared["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     workloads = args.workload or [w["name"] for w in declared["workloads"]]
     result = {
@@ -150,7 +150,7 @@ def main(argv=None) -> int:
         "change": f"the working tree of {ROOT.name} at {_revision('HEAD')}",
         "machine": _machine(),
         "method": (f"perfbench/run.py --workload W --seed {args.seed} --seconds "
-                   f"{args.seconds:g} --trace 0, run from a copy of each side's files; "
+                   f"{seconds:g} --trace 0, run from a copy of each side's files; "
                    f"{args.pairs} pairs per workload, alternating which side runs first"),
         "workloads": {},
     }
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
         copy_checkout(trees["change"])
         for workload in workloads:
             result["workloads"][f"{workload} seed {args.seed}"] = compare(
-                trees, workload, args.seed, args.seconds, args.pairs, bounds)
+                trees, workload, args.seed, seconds, args.pairs, bounds)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for key, entry in result["workloads"].items():
         for name, m in entry["metrics"].items():
