@@ -1,9 +1,14 @@
 """Reader/writer for the ``out.*`` edge-table and ``meta.*`` key/value files.
 
 ``out.$NETWORK`` is a text file: ``%``-comment lines, then one edge per line
-with 2-4 whitespace-separated numeric fields (source id, target id, optional
+with 2-4 fields separated by ASCII whitespace (source id, target id, optional
 weight, optional Unix timestamp).  The first comment line declares the format
-and weight type, an optional second one declares edge/node counts.
+and weight type, an optional second one declares edge/node counts.  A field
+is a token that numpy's ``astype`` reads, which is Python's literal syntax:
+ids as int64, weights and timestamps as float64, so ``+3``, ``007`` and
+``1_0`` read 3, 7 and 10.  Data lines hold ASCII only, without NUL or
+0x1c-0x1f.  A file of m records has at most ``min(MAX_NODES, 2 m +
+NODE_SLACK)`` nodes.
 
 ``meta.$NETWORK`` is UTF-8 ``key: value`` lines.  Unknown keys are preserved
 byte-for-byte on re-serialization.
@@ -11,9 +16,8 @@ byte-for-byte on re-serialization.
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,29 +129,6 @@ def _as_text(data) -> str:
     return data
 
 
-_INT64_MAX = np.iinfo(np.int64).max
-
-
-def _parse_int(token: str, what: str, line: int) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise DatasetError(f"{what} {token!r} is not an integer", line) from None
-    if abs(value) > _INT64_MAX:
-        raise DatasetError(f"{what} {token!r} does not fit in 64 bits", line)
-    return value
-
-
-def _parse_float(token: str, what: str, line: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise DatasetError(f"{what} {token!r} is not numeric", line) from None
-    if not math.isfinite(value):
-        raise DatasetError(f"{what} {token!r} is not finite", line)
-    return value
-
-
 def parse_out(data, tags: frozenset[str] | None = None) -> tuple[Graph, Header]:
     """Parse an ``out.*`` edge file into a (Graph, Header) pair.
 
@@ -163,10 +144,7 @@ def parse_out(data, tags: frozenset[str] | None = None) -> tuple[Graph, Header]:
     head = _leading_lines(text)
     header, first_data = _parse_header(head)
     body = text[sum(len(line) + 1 for line in head[:first_data]):]
-    graph = _parse_body(body, header, tags)
-    if graph is None:
-        graph = _graph(header, tags, *_parse_lines(body, first_data + 1, header, tags))
-    return graph, header
+    return _parse_body(body.encode("utf-8"), first_data + 1, header, tags), header
 
 
 def _leading_lines(text: str) -> list[str]:
@@ -180,224 +158,233 @@ def _leading_lines(text: str) -> list[str]:
         start = end + 1
 
 
-# Per ASCII byte of a body: 0 inside a token, 1 whitespace to both
-# ``bytes.split()`` and ``str.split()``, 2 sends the body to the line loop:
-# 0x1c-0x1f split text but not bytes, numpy's fixed-width bytes drop trailing
-# NULs, and ``%`` starts a misplaced comment.  Non-ASCII bodies go to the loop
-# too, because ``str.split()`` and ``int()`` read more of Unicode.
-_BYTE_CLASS = np.zeros(128, dtype=np.uint8)
+# Per byte of a body: 0 inside a token, 1 whitespace to ``bytes.split()``, 2 a
+# byte no data line may hold, which makes its token unreadable: NUL (numpy's
+# fixed-width bytes drop a trailing one), 0x1c-0x1f (``str.split()`` reads
+# them as whitespace) and every non-ASCII byte.
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
 _BYTE_CLASS[list(b" \t\n\r\x0b\x0c")] = 1
-_BYTE_CLASS[[0, 0x1C, 0x1D, 0x1E, 0x1F, ord("%")]] = 2
-
+_BYTE_CLASS[[0, 0x1C, 0x1D, 0x1E, 0x1F, *range(0x80, 0x100)]] = 2
 
 _PIECE_BYTES = 1 << 20  # tokenised at a time, so temporaries stay near a megabyte
 
+NODE_SLACK = 1 << 24
+"""Nodes a file may have beyond two per record, so room for isolated nodes."""
 
-def _parse_body(body: str, header: Header, tags: frozenset[str]) -> Graph | None:
-    """The graph of ``body``, tokenised and checked with array operations.
 
-    Returns None when any record may break a rule of :func:`_parse_lines`,
-    which then names the offending line; a valid ASCII body never needs it.
+def _node_budget(m: int) -> int:
+    """The most nodes a file of ``m`` records may declare or reach."""
+    return min(MAX_NODES, 2 * m + NODE_SLACK)
+
+
+class _Fault(Exception):
+    """A bulk check of a body failed; :func:`_first_fault` names the line."""
+
+
+def _parse_body(raw: bytes, first_line: int, header: Header, tags: frozenset[str]) -> Graph:
+    """The graph of the body ``raw``, whose first line is ``first_line``.
+
+    Every rule is checked on whole columns; when one fails, the error names
+    the first offending line.
     """
-    if not body.isascii():
-        return None
-    raw = body.encode("ascii")
-    pieces = []
+    try:
+        counts, src, dst, weight, timestamp = (
+            np.concatenate(c) for c in zip(*map(_piece_columns, _pieces(raw))))
+        m = len(counts)
+        given, has_t = counts > 2, counts == 4
+        n1, n2 = _sizes(header, int(src.max()) if m else 0, int(dst.max()) if m else 0)
+        faults = _weight_faults(header.weights, weight, given, has_t, "#zeroweight" in tags)
+        if (header.declared_m not in (None, m)
+                or has_t.any() and not has_t.all()
+                or not (np.isfinite(weight).all() and np.isfinite(timestamp).all())
+                or any(mask.any() for mask, _ in faults)
+                or n1 + (n2 or 0) > _node_budget(m)):
+            raise _Fault
+        graph = Graph(fmt=header.fmt, weights=header.weights, n1=int(n1), n2=n2,
+                      src=src, dst=dst, weight=weight if given.any() else None,
+                      timestamp=timestamp if has_t.any() else None, tags=tags)
+        # identical pairs get identical keys, and keys of at most MAX_NODES nodes do not wrap
+        if not header.weights.allows_multi and len(graph.pairs.keys) < m:
+            raise _Fault
+        return graph
+    except (_Fault, ValueError, OverflowError, GraphError):  # Graph checks ids and loops
+        raise _first_fault(raw, first_line, header, tags) from None
+
+
+def _pieces(raw: bytes):
+    """Whole lines of ``raw``, about ``_PIECE_BYTES`` at a time."""
     start = 0
-    while True:  # whole lines of about _PIECE_BYTES each
+    while True:
         end = raw.find(b"\n", start + _PIECE_BYTES) + 1 or len(raw)
-        pieces.append(_piece_columns(raw[start:end]))
-        if pieces[-1] is None:
-            return None
+        yield raw[start:end]
         if end == len(raw):
-            break
+            return
         start = end
-    counts, src, dst, weight, timestamp = (np.concatenate(c) for c in zip(*pieces))
-    del pieces
-    m = len(counts)
-    if header.declared_m is not None and header.declared_m != m:
-        return None
-    has_t = counts == 4
-    if np.any(has_t) and not np.all(has_t):
-        return None  # timestamps on some lines only
-    if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(timestamp))):
-        return None
-    given = counts > 2
-    temporal = bool(np.any(has_t))
-    if not _weights_pass(header.weights, weight, given, temporal, "#zeroweight" in tags):
-        return None
-    try:  # Graph's own checks: ids, loops, node count
-        graph = _graph(header, tags, src, dst, weight if np.any(given) else None,
-                       timestamp if temporal else None)
-    except GraphError:
-        return None
-    # identical pairs get identical keys; a wrapped key may only add a
-    # false duplicate, which the line loop then clears
-    if not header.weights.allows_multi and len(graph.pairs.keys) < m:
-        return None
-    return graph
+
+
+def _tokens(piece: bytes):
+    """The byte classes of ``piece``, and the start and line of each token."""
+    byte = np.frombuffer(piece, dtype=np.uint8)
+    kind = _BYTE_CLASS[byte]
+    in_token = kind != 1
+    starts = np.flatnonzero(np.diff(in_token, prepend=False) & in_token)
+    return kind, starts, np.searchsorted(np.flatnonzero(byte == 10), starts)
 
 
 def _piece_columns(piece: bytes):
-    """Fields per data line and the columns of whole lines, or None if a byte
-    or token needs the line loop; absent weights read 1 and timestamps 0."""
-    byte = np.frombuffer(piece, dtype=np.uint8)
-    kind = _BYTE_CLASS[byte]
-    if np.any(kind == 2):
-        return None
-    in_token = kind == 0
-    starts = np.flatnonzero(np.diff(in_token, prepend=False) & in_token)
-    counts = np.bincount(np.searchsorted(np.flatnonzero(byte == 10), starts))
+    """Fields per data line and the columns of whole lines; absent weights
+    read 1 and timestamps 0.  Raises on a bad byte, field count or token."""
+    kind, starts, line = _tokens(piece)
+    counts = np.bincount(line)
     counts = counts[counts > 0]  # blank lines dropped
-    if len(counts) and (counts.min() < 2 or counts.max() > 4):
-        return None
+    if np.any(kind == 2) or len(counts) and (counts.min() < 2 or counts.max() > 4):
+        raise _Fault
     tokens = np.array(piece.split(), dtype=bytes)
     first = np.cumsum(counts) - counts
     weight = np.ones(len(counts))
     timestamp = np.zeros(len(counts))
-    try:
-        src = tokens[first].astype(np.int64)
-        dst = tokens[first + 1].astype(np.int64)
-        for column, j in ((weight, 2), (timestamp, 3)):
-            column[counts > j] = tokens[first[counts > j] + j].astype(np.float64)
-    except (ValueError, OverflowError):
-        return None
+    src = tokens[first].astype(np.int64)
+    dst = tokens[first + 1].astype(np.int64)
+    for column, j in ((weight, 2), (timestamp, 3)):
+        column[counts > j] = tokens[first[counts > j] + j].astype(np.float64)
     return counts, src, dst, weight, timestamp
 
 
-def _weights_pass(weights, w, given, temporal, zero_ok) -> bool:
-    """Whether every record passes :func:`_check_weight`; ``w`` is 1 where not ``given``."""
+def _weight_faults(weights, w, given, has_t, zero_ok) -> list:
+    """The weight rule as ``(mask, message)`` pairs in the order they apply;
+    ``w`` is 1 where not ``given``, and a message may format the record's ``w``."""
     if weights is WeightType.DYNAMIC:
-        return bool(np.all(given) and np.all(np.abs(w) == 1))
+        return [(~given | (np.abs(w) != 1), "dynamic networks need +1/-1 in the third column")]
     if weights in (WeightType.UNWEIGHTED, WeightType.POSITIVE):
-        top = 1 if temporal or weights is WeightType.UNWEIGHTED else np.inf
-        return bool(np.all((w == np.trunc(w)) & (w >= 1) & (w <= top)))
-    if not np.all(given):
-        return False
+        many = w > 1
+        return [((w != np.trunc(w)) | (w < 1), "multiplicity {w!r} must be a positive integer"),
+                (many & has_t, "aggregated multiplicity not allowed with timestamps"),
+                (many & (weights is WeightType.UNWEIGHTED),
+                 "multiple edges not allowed in an unweighted network")]
+    faults = [(~given, "this weight type requires a weight column")]
     if weights in (WeightType.POSWEIGHTED, WeightType.MULTIPOSWEIGHTED):
-        return bool(np.all(w >= 0 if zero_ok else w > 0))
-    if weights in (WeightType.SIGNED, WeightType.MULTISIGNED):
-        return zero_ok or bool(np.all(w != 0))
-    return True  # rating scales allow any real value
+        faults.append(((w < 0) | (w == 0) & (not zero_ok),
+                       "weight {w!r} out of range for positive weights"))
+    elif weights in (WeightType.SIGNED, WeightType.MULTISIGNED):
+        faults.append(((w == 0) & (not zero_ok), "zero weight without the #zeroweight tag"))
+    return faults  # rating scales allow any real value
 
 
-def _parse_lines(body: str, first_line: int, header: Header, tags: frozenset[str]):
-    """The record columns of ``body``, checked line by line.
+def _first_fault(raw: bytes, first_line: int, header: Header, tags) -> DatasetError:
+    """The error of the first offending line of a body that failed a bulk check.
 
-    This is the statement of the record rules and their messages; it raises
-    on the first offending line.  ``first_line`` is the body's line number.
+    Each rule marks its faulty records.  The first marked record wins, and
+    of its faults the first in the order a line is read: fields, ids,
+    declared counts, loop, node count, weight, timestamp, weight rule,
+    duplicate.  The rules over the whole file come last.
     """
-    fmt, weights = header.fmt, header.weights
-    loops_ok = "#loop" in tags and fmt is not Format.BIPARTITE
-    zero_ok = "#zeroweight" in tags
-
-    src, dst, wcol, tcol = [], [], [], []
-    have_w = have_t = False
-    missing_ts_line: int | None = None
-    seen_pairs: set[tuple[int, int]] = set()
-    single_edge = not weights.allows_multi
-    hi_u = hi_v = 0
-
-    for lineno0, raw in enumerate(body.split("\n"), start=first_line):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("%"):
-            raise DatasetError("comment lines are only allowed before the data", lineno0)
-        fields = line.split()
-        if not 2 <= len(fields) <= 4:
-            raise DatasetError(f"expected 2-4 fields, found {len(fields)}", lineno0)
-        u = _parse_int(fields[0], "source id", lineno0)
-        v = _parse_int(fields[1], "target id", lineno0)
-        if u < 1 or v < 1:
-            raise DatasetError("node ids must be >= 1", lineno0)
-        if header.declared_n1 is not None and u > header.declared_n1:
-            raise DatasetError(
-                f"source id {u} beyond declared count {header.declared_n1}", lineno0
-            )
-        limit2 = header.declared_n2 if fmt is Format.BIPARTITE else header.declared_n1
-        if limit2 is not None and v > limit2:
-            raise DatasetError(f"target id {v} beyond declared count {limit2}", lineno0)
-        if u == v and fmt is not Format.BIPARTITE and not loops_ok:
-            raise DatasetError("loop without the #loop tag", lineno0)
-        hi_u, hi_v = max(hi_u, u), max(hi_v, v)
-        if _node_count(header, hi_u, hi_v) > MAX_NODES:
-            raise DatasetError(
-                f"node id {max(u, v)} makes more than {MAX_NODES} nodes", lineno0
-            )
-
-        w = t = None
-        if len(fields) >= 3:
-            w = _parse_float(fields[2], "weight", lineno0)
-        if len(fields) == 4:
-            t = _parse_float(fields[3], "timestamp", lineno0)
-        _check_weight(weights, w, t is not None, zero_ok, lineno0)
-
-        if single_edge:
-            if fmt is Format.UNDIRECTED:
-                pair = (min(u, v), max(u, v))
-            else:
-                pair = (u, v)
-            if pair in seen_pairs:
-                raise DatasetError(
-                    f"duplicate edge {pair} in a single-edge weight type", lineno0
-                )
-            seen_pairs.add(pair)
-
-        src.append(u)
-        dst.append(v)
-        wcol.append(w if w is not None else 1.0)  # absent weight column means 1
-        tcol.append(t if t is not None else 0.0)
-        have_w = have_w or w is not None
-        have_t = have_t or t is not None
-        if t is None and missing_ts_line is None:
-            missing_ts_line = lineno0
-
-    if have_t and missing_ts_line is not None:
-        raise DatasetError(
-            "timestamps must be present on every line or none", missing_ts_line
-        )
-    if header.declared_m is not None and header.declared_m != len(src):
-        raise DatasetError(
-            f"declared edge count {header.declared_m} but found {len(src)} data lines"
-        )
-
-    return (
-        np.array(src, dtype=np.int64),
-        np.array(dst, dtype=np.int64),
-        np.array(wcol) if have_w else None,
-        np.array(tcol) if have_t else None,
-    )
+    records, line = [], first_line
+    for piece in _pieces(raw):
+        records.append(_piece_records(piece, line))
+        line += piece.count(b"\n")
+    line, count, comment, u, cu, v, cv, w, cw, t, ct = (
+        np.concatenate(c) for c in zip(*records))
+    m = len(line)
+    budget = _node_budget(m)
+    declared = _node_count(header, 0, 0)
+    if declared > budget:
+        return DatasetError(f"declared node count {declared} beyond the budget of "
+                            f"{budget} nodes for {m} records", 2)
+    n1, bip = header.declared_n1, header.fmt is Format.BIPARTITE
+    n2 = header.declared_n2 if bip else n1
+    given, has_t = count > 2, count == 4
+    token = lambda i, j: repr(raw.split(b"\n")[line[i] - first_line].split()[j].decode())
+    rules = [
+        (comment, lambda i: "comment lines are only allowed before the data"),
+        ((count < 2) | (count > 4), lambda i: f"expected 2-4 fields, found {count[i]}"),
+        *((c > 0, lambda i, c=c, j=j, what=what: f"{what} {token(i, j)} " + (
+            "does not fit in 64 bits" if c[i] == 2 else "is not an integer"))
+          for c, j, what in ((cu, 0, "source id"), (cv, 1, "target id"))),
+        ((u < 1) | (v < 1), lambda i: "node ids must be >= 1"),
+        (u > (np.inf if n1 is None else n1),
+         lambda i: f"source id {u[i]} beyond declared count {n1}"),
+        (v > (np.inf if n2 is None else n2),
+         lambda i: f"target id {v[i]} beyond declared count {n2}"),
+        ((u == v) & (not bip and "#loop" not in tags), lambda i: "loop without the #loop tag"),
+        (_node_count(header, *(np.maximum.accumulate(x.astype(float)) for x in (u, v)))
+         > budget, lambda i: f"node id {max(u[i], v[i])} makes more than {budget} nodes, "
+                             f"the budget for {m} records"),
+    ]
+    for x, c, j, what in ((w, cw, 2, "weight"), (t, ct, 3, "timestamp")):
+        rules += [(c > 0, lambda i, j=j, what=what: f"{what} {token(i, j)} is not numeric"),
+                  ((count > j) & ~np.isfinite(x),
+                   lambda i, j=j, what=what: f"{what} {token(i, j)} is not finite")]
+    rules += [(mask, lambda i, message=message: message.format(w=float(w[i])))
+              for mask, message in _weight_faults(header.weights, w, given, has_t,
+                                                  "#zeroweight" in tags)]
+    if not header.weights.allows_multi:
+        a, b = (np.minimum(u, v), np.maximum(u, v)) if header.fmt is Format.UNDIRECTED else (u, v)
+        _, seen, pair = np.unique(np.stack([a, b], axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+        rules.append((seen[pair.ravel()] != np.arange(m), lambda i: (
+            f"duplicate edge ({a[i]}, {b[i]}) in a single-edge weight type")))
+    firsts = [int(np.argmax(mask)) if np.any(mask) else m for mask, _ in rules]
+    i = min(firsts, default=m)
+    if i < m:
+        return DatasetError(rules[firsts.index(i)][1](i), int(line[i]))
+    if has_t.any() and not has_t.all():
+        return DatasetError("timestamps must be present on every line or none",
+                            int(line[np.argmin(has_t)]))
+    if header.declared_m not in (None, m):
+        return DatasetError(f"declared edge count {header.declared_m} but found {m} data lines")
+    raise AssertionError("a bulk check failed but no rule marks a record")
 
 
-def _sizes(header: Header, hi_src: int, hi_dst: int) -> tuple[int, int | None]:
-    """``(n1, n2)`` for these largest ids; declared counts win over them."""
+def _piece_records(piece: bytes, first_line: int):
+    """Per data line of ``piece``, whose first line is ``first_line``: its
+    line number, field count, whether it opens with ``%``, and each field's
+    value and code: 1 if the token is unreadable, 2 if beyond int64."""
+    kind, starts, line = _tokens(piece)
+    lines, first, count = np.unique(line, return_index=True, return_counts=True)
+    unreadable = np.zeros(len(starts), dtype=bool)
+    unreadable[np.searchsorted(starts, np.flatnonzero(kind == 2), side="right") - 1] = True
+    tokens = np.array(piece.split(), dtype=bytes)
+    fields = []
+    for j, dtype in enumerate((np.int64, np.int64, np.float64, np.float64)):
+        value, code = np.ones(len(count), dtype), np.zeros(len(count), dtype=np.uint8)
+        rows = count > j
+        at = first[rows] + j
+        value[rows], code[rows] = _read(tokens[at], dtype)
+        code[rows] = np.where(unreadable[at], 1, code[rows])
+        fields += [value, code]
+    comment = np.frombuffer(piece, dtype=np.uint8)[starts[first]] == ord("%")
+    return lines + first_line, count, comment, *fields
+
+
+def _read(tokens: np.ndarray, dtype):
+    """``tokens`` read as ``dtype``, and per token a code: 1 if numpy cannot
+    read it, 2 if it lies beyond int64; such a token reads 1."""
+    code = np.zeros(len(tokens), dtype=np.uint8)
+    try:
+        return tokens.astype(dtype), code
+    except (ValueError, OverflowError):
+        value = np.ones(len(tokens), dtype)
+    for k in range(len(tokens)):  # one at a time, in a column that failed only
+        try:
+            value[k] = tokens[k:k + 1].astype(dtype)[0]
+        except ValueError:
+            code[k] = 1
+        except OverflowError:
+            code[k] = 2
+    return value, code
+
+
+def _sizes(header: Header, hi_src, hi_dst):
+    """``(n1, n2)`` for these largest ids, numbers or arrays; declared counts win over them."""
     n1, n2 = header.declared_n1, header.declared_n2
     if header.fmt is Format.BIPARTITE:
         return (hi_src if n1 is None else n1), (hi_dst if n2 is None else n2)
-    return (max(hi_src, hi_dst) if n1 is None else n1), None
+    return (np.maximum(hi_src, hi_dst) if n1 is None else n1), None
 
 
-def _node_count(header: Header, hi_src: int, hi_dst: int) -> int:
+def _node_count(header: Header, hi_src, hi_dst):
     n1, n2 = _sizes(header, hi_src, hi_dst)
-    return n1 + (n2 or 0)
-
-
-def _graph(header: Header, tags, src, dst, weight, timestamp) -> Graph:
-    """The graph of parsed columns."""
-    n1, n2 = _sizes(header, int(src.max()) if len(src) else 0,
-                    int(dst.max()) if len(dst) else 0)
-    return Graph(
-        fmt=header.fmt,
-        weights=header.weights,
-        n1=n1,
-        n2=n2,
-        src=src,
-        dst=dst,
-        weight=weight,
-        timestamp=timestamp,
-        tags=tags,
-    )
+    return n1 if n2 is None else n1 + n2
 
 
 def _parse_header(lines: list[str]) -> tuple[Header, int]:
@@ -415,74 +402,20 @@ def _parse_header(lines: list[str]) -> tuple[Header, int]:
     except Exception:
         raise DatasetError(f"unknown weight type {head[1]!r}", 1) from None
 
-    declared_m = declared_n1 = declared_n2 = None
-    extra: list[str] = []
-    idx = 1
+    vals = []
     if len(lines) > 1 and lines[1].lstrip().startswith("%"):
-        counts = lines[1].lstrip()[1:].split()
-        if counts and all(_is_int(c) for c in counts):
-            vals = [int(c) for c in counts[:3]]
-            if any(v < 0 for v in vals):
-                raise DatasetError("declared counts must be nonnegative", 2)
-            declared_m = vals[0]
-            if len(vals) > 1:
-                declared_n1 = vals[1]
-            if len(vals) > 2:
-                declared_n2 = vals[2]
-            idx = 2
+        try:  # split and read as the body is: int() of bytes takes ASCII only
+            vals = [int(c) for c in lines[1].lstrip()[1:].encode().split()][:3]
+        except ValueError:
+            pass
+        if any(v < 0 for v in vals):
+            raise DatasetError("declared counts must be nonnegative", 2)
+    idx = 2 if vals else 1
+    extra = []
     while idx < len(lines) and lines[idx].lstrip().startswith("%"):
         extra.append(lines[idx])
         idx += 1
-    header = Header(
-        fmt=fmt,
-        weights=weights,
-        declared_m=declared_m,
-        declared_n1=declared_n1,
-        declared_n2=declared_n2,
-        extra_comments=tuple(extra),
-    )
-    declared = _node_count(header, 0, 0)
-    if declared > MAX_NODES:
-        raise DatasetError(f"declared node count {declared} beyond the limit of {MAX_NODES}", 2)
-    return header, idx
-
-
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-        return True
-    except ValueError:
-        return False
-
-
-def _check_weight(weights, w, temporal, zero_ok, lineno):
-    if weights is WeightType.DYNAMIC:
-        if w is None or w not in (1.0, -1.0):
-            raise DatasetError("dynamic networks need +1/-1 in the third column", lineno)
-        return
-    if weights in (WeightType.UNWEIGHTED, WeightType.POSITIVE):
-        if w is None:
-            return
-        if w != int(w) or w < 1:
-            raise DatasetError(
-                f"multiplicity {w!r} must be a positive integer", lineno
-            )
-        if w > 1 and temporal:
-            raise DatasetError("aggregated multiplicity not allowed with timestamps", lineno)
-        if w > 1 and weights is WeightType.UNWEIGHTED:
-            raise DatasetError("multiple edges not allowed in an unweighted network", lineno)
-        return
-    if w is None:
-        raise DatasetError("this weight type requires a weight column", lineno)
-    if weights in (WeightType.POSWEIGHTED, WeightType.MULTIPOSWEIGHTED):
-        if w < 0 or (w == 0 and not zero_ok):
-            raise DatasetError(
-                f"weight {w!r} out of range for positive weights", lineno
-            )
-    elif weights in (WeightType.SIGNED, WeightType.MULTISIGNED):
-        if w == 0 and not zero_ok:
-            raise DatasetError("zero weight without the #zeroweight tag", lineno)
-    # rating scales allow any real value
+    return Header(fmt, weights, *(vals + [None] * 3)[:3], tuple(extra)), idx
 
 
 _BLOCK_ROWS = 1 << 16  # rows formatted at a time, so per-row strings stay few

@@ -227,8 +227,10 @@ def test_ids_beyond_int64_are_dataset_errors(token):
     (b"% bip unweighted\n% 1 2000000000 2000000000\n1 1\n", 2),
     (b"% asym positive\n1 2\n2 3999999999\n", 3),
     (b"% sym unweighted\n3037000499 1\n", 2),
-    (b"% bip unweighted\n2000000000 1\n1 1\n1 2000000000\n", 4),
-], ids=["declared", "declared-bipartite", "id", "id-at-limit", "ids-bipartite"])
+    (b"% bip unweighted\n2000000000 1\n1 1\n1 2000000000\n", 2),
+    (b"% bip unweighted\n10000000 1\n1 1\n1 10000000\n", 4),
+], ids=["declared", "declared-bipartite", "id", "id-at-limit", "ids-bipartite",
+        "ids-bipartite-sum"])
 def test_node_counts_beyond_pair_key_limit(text, line):
     with pytest.raises(DatasetError) as exc:
         parse_out(text)
@@ -243,7 +245,11 @@ def test_pair_keys_at_the_node_limit():
               n2=1, src=np.array([1]), dst=np.array([1]))
 
     top = MAX_NODES
-    g, _ = parse_out(f"% asym positive\n{top} 2\n2 {top}\n{top} {top - 1}\n".encode())
+    with pytest.raises(DatasetError, match="makes more than 16777222 nodes") as exc:
+        parse_out(f"% asym positive\n{top} 2\n2 {top}\n{top} {top - 1}\n".encode())
+    assert exc.value.line == 2  # three records allow 2 * 3 + NODE_SLACK nodes
+    g = Graph(fmt=Format.DIRECTED, weights=WeightType.POSITIVE, n1=top, n2=None,
+              src=np.array([top, 2, top]), dst=np.array([2, top, top - 1]))
     assert g.n == top
     a, b = g.pairs.endpoints()
     assert sorted(zip(a.tolist(), b.tolist())) == [(2, top), (top, 2), (top, top - 1)]
